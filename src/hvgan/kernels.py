@@ -1,44 +1,23 @@
 """Hot numeric kernels: same-padding conv2d and Monte-Carlo dominance counting.
 
-Every kernel ships in two flavours: a numba ``@njit`` version and a pure-numpy
-version. The active backend is picked once at import time from the
-``HVGAN_KERNELS`` environment variable:
-
-* ``HVGAN_KERNELS=numba``  force the jitted kernels (error if numba is missing)
-* ``HVGAN_KERNELS=numpy``  force the vectorized numpy fallback
-* unset / ``auto``         numba when importable, numpy otherwise
-
-Both flavours stay importable regardless of the selection so tests and
-``benchmarks/bench_kernels.py`` can compare them directly.
+conv2d is im2col followed by one BLAS matmul. The dominance counter compares
+the samples column by column, one point at a time.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
-    "NUMBA_AVAILABLE",
     "conv2d_forward",
     "conv2d_grad_input",
     "conv2d_grad_weight",
     "count_dominated",
-    "conv2d_forward_numpy",
-    "conv2d_grad_weight_numpy",
-    "count_dominated_numpy",
-    "conv2d_forward_numba",
-    "conv2d_grad_weight_numba",
-    "count_dominated_numba",
 ]
 
-_CHUNK = 1 << 16  # samples per block in the numpy dominance counter
+BACKEND = "numpy"
 
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """(N,C,H,W) -> (N*H*W, C*kh*kw) patch matrix under same zero padding."""
@@ -51,159 +30,15 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return np.ascontiguousarray(cols)
 
 
-def conv2d_forward_numpy(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def conv2d_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Stride-1 same-zero-padding correlation of (N,C,H,W) with (O,C,kh,kw)."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
     n, _, h, wd = x.shape
     o = w.shape[0]
     cols = _im2col(x, w.shape[2], w.shape[3])
     out = cols @ w.reshape(o, -1).T
     return np.ascontiguousarray(out.reshape(n, h, wd, o).transpose(0, 3, 1, 2))
-
-
-def conv2d_grad_weight_numpy(
-    x: np.ndarray, gy: np.ndarray, kh: int, kw: int
-) -> np.ndarray:
-    n, c, h, wd = x.shape
-    o = gy.shape[1]
-    cols = _im2col(x, kh, kw)
-    gflat = np.ascontiguousarray(gy.transpose(0, 2, 3, 1).reshape(n * h * wd, o))
-    return (gflat.T @ cols).reshape(o, c, kh, kw)
-
-
-def count_dominated_numpy(samples: np.ndarray, points: np.ndarray) -> int:
-    """Count samples weakly dominated by at least one point (minimization)."""
-    total = 0
-    for lo in range(0, samples.shape[0], _CHUNK):
-        chunk = samples[lo : lo + _CHUNK]
-        dom = (points[None, :, :] <= chunk[:, None, :]).all(axis=2).any(axis=1)
-        total += int(dom.sum())
-    return total
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (loop bodies shared with the jit compiler)
-# ---------------------------------------------------------------------------
-
-def _conv2d_forward_loops(x, w, out):
-    n, c, h, wd = x.shape
-    o, _, kh, kw = w.shape
-    ph = kh // 2
-    pw = kw // 2
-    for im in range(n):
-        for oc in range(o):
-            for ic in range(c):
-                for i in range(kh):
-                    dy = i - ph
-                    ylo = max(0, -dy)
-                    yhi = min(h, h - dy)
-                    for j in range(kw):
-                        dx = j - pw
-                        xlo = max(0, -dx)
-                        xhi = min(wd, wd - dx)
-                        wv = w[oc, ic, i, j]
-                        for y in range(ylo, yhi):
-                            for xx in range(xlo, xhi):
-                                out[im, oc, y, xx] += wv * x[im, ic, y + dy, xx + dx]
-
-
-def _conv2d_grad_weight_loops(x, gy, gw):
-    n, c, h, wd = x.shape
-    o, _, kh, kw = gw.shape
-    ph = kh // 2
-    pw = kw // 2
-    for im in range(n):
-        for oc in range(o):
-            for ic in range(c):
-                for i in range(kh):
-                    dy = i - ph
-                    ylo = max(0, -dy)
-                    yhi = min(h, h - dy)
-                    for j in range(kw):
-                        dx = j - pw
-                        xlo = max(0, -dx)
-                        xhi = min(wd, wd - dx)
-                        acc = 0.0
-                        for y in range(ylo, yhi):
-                            for xx in range(xlo, xhi):
-                                acc += gy[im, oc, y, xx] * x[im, ic, y + dy, xx + dx]
-                        gw[oc, ic, i, j] += acc
-
-
-def _count_dominated_loops(samples, points):
-    m, nd = samples.shape
-    k = points.shape[0]
-    count = 0
-    for s in range(m):
-        for p in range(k):
-            ok = True
-            for d in range(nd):
-                if points[p, d] > samples[s, d]:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-                break
-    return count
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-_choice = os.environ.get("HVGAN_KERNELS", "auto").strip().lower() or "auto"
-if _choice not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"HVGAN_KERNELS must be 'numba', 'numpy' or unset, got {_choice!r}"
-    )
-
-NUMBA_AVAILABLE = False
-if _choice != "numpy":
-    try:
-        import numba
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        if _choice == "numba":
-            raise RuntimeError("HVGAN_KERNELS=numba but numba is not importable")
-
-if NUMBA_AVAILABLE:
-    _conv2d_forward_jit = numba.njit(cache=True)(_conv2d_forward_loops)
-    _conv2d_grad_weight_jit = numba.njit(cache=True)(_conv2d_grad_weight_loops)
-    _count_dominated_jit = numba.njit(cache=True)(_count_dominated_loops)
-
-    def conv2d_forward_numba(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        out = np.zeros((x.shape[0], w.shape[0], x.shape[2], x.shape[3]))
-        _conv2d_forward_jit(x, w, out)
-        return out
-
-    def conv2d_grad_weight_numba(
-        x: np.ndarray, gy: np.ndarray, kh: int, kw: int
-    ) -> np.ndarray:
-        gw = np.zeros((gy.shape[1], x.shape[1], kh, kw))
-        _conv2d_grad_weight_jit(x, gy, gw)
-        return gw
-
-    def count_dominated_numba(samples: np.ndarray, points: np.ndarray) -> int:
-        return int(_count_dominated_jit(samples, points))
-
-else:
-    conv2d_forward_numba = None
-    conv2d_grad_weight_numba = None
-    count_dominated_numba = None
-
-BACKEND = "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# dispatched public surface
-# ---------------------------------------------------------------------------
-
-def conv2d_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stride-1 same-zero-padding correlation of (N,C,H,W) with (O,C,kh,kw)."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if BACKEND == "numba":
-        return conv2d_forward_numba(x, w)
-    return conv2d_forward_numpy(x, w)
 
 
 def conv2d_grad_input(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -220,15 +55,24 @@ def conv2d_grad_weight(x: np.ndarray, gy: np.ndarray, kh: int, kw: int) -> np.nd
     """Gradient of conv2d_forward w.r.t. the (O,C,kh,kw) kernel."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     gy = np.ascontiguousarray(gy, dtype=np.float64)
-    if BACKEND == "numba":
-        return conv2d_grad_weight_numba(x, gy, kh, kw)
-    return conv2d_grad_weight_numpy(x, gy, kh, kw)
+    n, c, h, wd = x.shape
+    o = gy.shape[1]
+    cols = _im2col(x, kh, kw)
+    gflat = np.ascontiguousarray(gy.transpose(0, 2, 3, 1).reshape(n * h * wd, o))
+    return (gflat.T @ cols).reshape(o, c, kh, kw)
 
 
 def count_dominated(samples: np.ndarray, points: np.ndarray) -> int:
     """Number of rows of ``samples`` weakly dominated by any row of ``points``."""
-    samples = np.ascontiguousarray(samples, dtype=np.float64)
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if BACKEND == "numba":
-        return count_dominated_numba(samples, points)
-    return count_dominated_numpy(samples, points)
+    cols = np.ascontiguousarray(np.asarray(samples, dtype=np.float64).T)
+    points = np.asarray(points, dtype=np.float64)
+    dominated = np.zeros(cols.shape[1], dtype=bool)
+    hit = np.empty_like(dominated)
+    cmp = np.empty_like(dominated)
+    for p in points:
+        hit.fill(True)
+        for col, v in zip(cols, p, strict=True):
+            np.greater_equal(col, v, out=cmp)
+            hit &= cmp
+        dominated |= hit
+    return int(np.count_nonzero(dominated))

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -13,12 +12,10 @@ from hvgan.synth import write_corpus
 
 
 def run_cli(*args):
-    """Invoke the installed CLI in a subprocess on the numpy kernel backend
-    (keeps startup light; backend selection itself is covered elsewhere)."""
-    env = dict(os.environ, HVGAN_KERNELS="numpy")
+    """Invoke the installed CLI in a subprocess."""
     return subprocess.run(
         [sys.executable, "-m", "hvgan", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
 
 

@@ -1,11 +1,8 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from hvgan import kernels
+from hvgan.moo import MAX_HV_DIM
 
 from oracles import conv2d_naive
 
@@ -24,7 +21,7 @@ class TestNumpyKernels:
         rng = np.random.default_rng(80)
         for _ in range(20):
             x, ker = _random_case(rng)
-            got = kernels.conv2d_forward_numpy(x, ker)
+            got = kernels.conv2d_forward(x, ker)
             assert np.allclose(got, conv2d_naive(x, ker), rtol=0, atol=1e-12)
 
     def test_identity_kernel(self):
@@ -32,22 +29,22 @@ class TestNumpyKernels:
         ker = np.zeros((3, 3, 3, 3))
         for c in range(3):
             ker[c, c, 1, 1] = 1.0
-        assert np.allclose(kernels.conv2d_forward_numpy(x, ker), x, rtol=0, atol=0)
+        assert np.allclose(kernels.conv2d_forward(x, ker), x, rtol=0, atol=0)
 
     def test_grad_weight_matches_finite_differences(self):
         rng = np.random.default_rng(82)
         x = rng.standard_normal((2, 2, 5, 5))
         ker = rng.standard_normal((3, 2, 3, 3))
         gy = rng.standard_normal((2, 3, 5, 5))
-        gw = kernels.conv2d_grad_weight_numpy(x, gy, 3, 3)
+        gw = kernels.conv2d_grad_weight(x, gy, 3, 3)
         h = 1e-6
         for idx in [(0, 0, 0, 0), (1, 1, 1, 2), (2, 0, 2, 1)]:
             kp, km = ker.copy(), ker.copy()
             kp[idx] += h
             km[idx] -= h
             fd = np.sum(
-                (kernels.conv2d_forward_numpy(x, kp)
-                 - kernels.conv2d_forward_numpy(x, km)) * gy
+                (kernels.conv2d_forward(x, kp)
+                 - kernels.conv2d_forward(x, km)) * gy
             ) / (2 * h)
             assert gw[idx] == pytest.approx(fd, rel=1e-5)
 
@@ -66,110 +63,23 @@ class TestNumpyKernels:
     def test_count_dominated_small_cases(self):
         points = np.array([[0.5, 0.5]])
         samples = np.array([[0.4, 0.9], [0.6, 0.6], [0.5, 0.5], [0.9, 0.4]])
-        assert kernels.count_dominated_numpy(samples, points) == 2
+        assert kernels.count_dominated(samples, points) == 2
 
     def test_count_dominated_brute_force(self):
         rng = np.random.default_rng(84)
+        cases = []
         for _ in range(20):
-            nd = int(rng.integers(1, 5))
-            pts = rng.uniform(size=(int(rng.integers(1, 8)), nd))
-            smp = rng.uniform(size=(200, nd))
+            nd = int(rng.integers(1, MAX_HV_DIM + 1))
+            cases.append((rng.uniform(size=(int(rng.integers(1, 8)), nd)),
+                          rng.uniform(size=(200, nd))))
+        # a long sample array, past 2**16 rows
+        cases.append((rng.uniform(size=(3, 2)),
+                      rng.uniform(size=((1 << 16) + 17, 2))))
+        # samples equal to a point count as (weakly) dominated
+        pts = rng.uniform(size=(4, 3))
+        cases.append((pts, np.vstack([pts, pts - 0.01, rng.uniform(size=(50, 3))])))
+        for pts, smp in cases:
             want = int(
                 ((pts[None, :, :] <= smp[:, None, :]).all(2).any(1)).sum()
             )
-            assert kernels.count_dominated_numpy(smp, pts) == want
-
-    def test_count_dominated_chunking_is_seamless(self):
-        rng = np.random.default_rng(85)
-        pts = rng.uniform(size=(3, 2))
-        smp = rng.uniform(size=(kernels._CHUNK + 17, 2))
-        want = int(((pts[None, :, :] <= smp[:, None, :]).all(2).any(1)).sum())
-        assert kernels.count_dominated_numpy(smp, pts) == want
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not importable")
-class TestBackendAgreement:
-    def test_forward(self):
-        rng = np.random.default_rng(86)
-        for _ in range(10):
-            x, ker = _random_case(rng)
-            a = kernels.conv2d_forward_numpy(x, ker)
-            b = kernels.conv2d_forward_numba(x, ker)
-            assert np.allclose(a, b, rtol=0, atol=1e-12)
-
-    def test_grad_weight(self):
-        rng = np.random.default_rng(87)
-        for _ in range(10):
-            x, ker = _random_case(rng)
-            gy = rng.standard_normal(
-                (x.shape[0], ker.shape[0], x.shape[2], x.shape[3])
-            )
-            kh, kw = ker.shape[2], ker.shape[3]
-            a = kernels.conv2d_grad_weight_numpy(x, gy, kh, kw)
-            b = kernels.conv2d_grad_weight_numba(x, gy, kh, kw)
-            assert np.allclose(a, b, rtol=0, atol=1e-12)
-
-    def test_count_dominated(self):
-        rng = np.random.default_rng(88)
-        for _ in range(10):
-            nd = int(rng.integers(1, 4))
-            pts = rng.uniform(size=(int(rng.integers(1, 8)), nd))
-            smp = rng.uniform(size=(5000, nd))
-            a = kernels.count_dominated_numpy(smp, pts)
-            b = kernels.count_dominated_numba(smp, pts)
-            assert a == b
-
-
-class TestEnvSelection:
-    """The backend is frozen at import time from HVGAN_KERNELS."""
-
-    @staticmethod
-    def _probe(value):
-        env = dict(os.environ)
-        if value is None:
-            env.pop("HVGAN_KERNELS", None)
-        else:
-            env["HVGAN_KERNELS"] = value
-        return subprocess.run(
-            [sys.executable, "-c",
-             "from hvgan import kernels; print(kernels.BACKEND)"],
-            capture_output=True, text=True, env=env,
-        )
-
-    def test_numpy_forced(self):
-        proc = self._probe("numpy")
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "numpy"
-
-    @pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not importable")
-    def test_numba_forced(self):
-        proc = self._probe("numba")
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "numba"
-
-    def test_auto_default(self):
-        proc = self._probe(None)
-        assert proc.returncode == 0
-        assert proc.stdout.strip() in ("numba", "numpy")
-
-    def test_invalid_value_fails_loudly(self):
-        proc = self._probe("cuda")
-        assert proc.returncode != 0
-        assert "HVGAN_KERNELS" in proc.stderr
-
-    def test_numpy_backend_runs_the_fallback_end_to_end(self):
-        code = (
-            "import numpy as np\n"
-            "from hvgan import kernels\n"
-            "assert kernels.BACKEND == 'numpy'\n"
-            "x = np.ones((1, 1, 3, 3)); w = np.ones((1, 1, 3, 3))\n"
-            "out = kernels.conv2d_forward(x, w)\n"
-            "print(out[0, 0, 1, 1])\n"
-            "print(kernels.count_dominated(np.zeros((4, 2)) + 0.5,"
-            " np.zeros((1, 2))))\n"
-        )
-        env = dict(os.environ, HVGAN_KERNELS="numpy")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["9.0", "4"]
+            assert kernels.count_dominated(smp, pts) == want

@@ -72,9 +72,6 @@ class TestNumpyKernels:
             nd = int(rng.integers(1, MAX_HV_DIM + 1))
             cases.append((rng.uniform(size=(int(rng.integers(1, 8)), nd)),
                           rng.uniform(size=(200, nd))))
-        # a long sample array, past 2**16 rows
-        cases.append((rng.uniform(size=(3, 2)),
-                      rng.uniform(size=((1 << 16) + 17, 2))))
         # samples equal to a point count as (weakly) dominated
         pts = rng.uniform(size=(4, 3))
         cases.append((pts, np.vstack([pts, pts - 0.01, rng.uniform(size=(50, 3))])))
@@ -83,3 +80,11 @@ class TestNumpyKernels:
                 ((pts[None, :, :] <= smp[:, None, :]).all(2).any(1)).sum()
             )
             assert kernels.count_dominated(smp, pts) == want
+
+    def test_count_dominated_chunking_is_seamless(self):
+        # a long sample array, past 2**16 rows, counts like a short one
+        rng = np.random.default_rng(85)
+        pts = rng.uniform(size=(3, 2))
+        smp = rng.uniform(size=((1 << 16) + 17, 2))
+        want = int(((pts[None, :, :] <= smp[:, None, :]).all(2).any(1)).sum())
+        assert kernels.count_dominated(smp, pts) == want

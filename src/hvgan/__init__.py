@@ -7,6 +7,16 @@ GAN loss zoo, tiny conv generator/discriminator nets with Adam and a
 two-phase training loop, PSNR/SSIM/GMSD metrics, and PGM/PPM image plumbing.
 """
 
+import os
+
+# BLAS runs on one thread unless the user sets these variables. The matrices
+# here are small, and OpenBLAS's default pool made an adversarial step about
+# 10x slower when other processes competed for the cores. The variables are
+# read when numpy loads BLAS, so this must run before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"
 
 from .moo import (

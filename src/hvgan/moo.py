@@ -7,13 +7,17 @@ orientation-independent where mathematics says they must be.
 
 The exact hypervolume uses a recursive dimension sweep: points are sorted on
 the last objective and the volume is integrated slab by slab, each slab being
-a lower-dimensional hypervolume of the projected points seen so far. That is
-quadratic-ish per level and entirely adequate for the supported sizes (at
-most 6 objectives and 32 nondominated points).
+a lower-dimensional hypervolume of the projected points seen so far. Those
+projections are kept as an incremental nondominated front of plain float
+tuples: each new projection joins the front and evicts the projections it
+dominates, so no level has to deduplicate or Pareto-filter its input and no
+recursive call touches numpy. The supported sizes are at most 6 objectives
+and 32 nondominated points.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -198,35 +202,37 @@ def _to_min_arrays(s: PointSet, r) -> tuple[np.ndarray, np.ndarray]:
     return pts, ref
 
 
-def _hv_recursive(pts: np.ndarray, ref: np.ndarray) -> float:
-    """Exact hypervolume of minimize-oriented points against ref."""
-    if pts.shape[0] == 0:
-        return 0.0
-    pts = np.unique(pts, axis=0)
-    pts = pts[_pareto_mask(pts)]
-    n = pts.shape[1]
+def _hv_recursive(front: list, ref: tuple) -> float:
+    """Exact hypervolume of distinct, mutually nondominated minimize-oriented
+    float tuples against ref; the result depends only on the set."""
+    n = len(ref)
     if n == 1:
-        return float(ref[0] - pts[:, 0].min())
+        return ref[0] - min(p[0] for p in front)
     if n == 2:
-        order = np.argsort(pts[:, 0], kind="stable")
-        xs = pts[order, 0]
-        ys = pts[order, 1]
+        pts = sorted(front)
         area = 0.0
-        for i in range(len(xs)):
-            next_x = xs[i + 1] if i + 1 < len(xs) else ref[0]
-            area += (next_x - xs[i]) * (ref[1] - ys[i])
-        return float(area)
-    order = np.argsort(pts[:, -1], kind="stable")
-    pts = pts[order]
-    levels = np.unique(pts[:, -1])
+        for i, (x, y) in enumerate(pts):
+            next_x = pts[i + 1][0] if i + 1 < len(pts) else ref[0]
+            area += (next_x - x) * (ref[1] - y)
+        return area
+    # No point's projection is weakly dominated by the projections before it
+    # (the point itself would then be dominated), so every point joins the
+    # front and only evicts the projections it dominates.
+    pts = sorted(front, key=lambda p: p[-1])
+    sub_ref = ref[:-1]
+    slab: list = []
     total = 0.0
-    for m, z in enumerate(levels):
-        z_next = levels[m + 1] if m + 1 < len(levels) else ref[-1]
-        if z_next == z:
-            continue
-        active = pts[pts[:, -1] <= z, :-1]
-        total += (z_next - z) * _hv_recursive(active, ref[:-1])
-    return float(total)
+    for i, p in enumerate(pts):
+        q = p[:-1]
+        slab = [f for f in slab if not all(map(operator.le, q, f))]
+        slab.append(q)
+        z = p[-1]
+        z_next = pts[i + 1][-1] if i + 1 < len(pts) else ref[-1]
+        # Tied points close one slab together, at the last of them; a
+        # point on the reference face closes none.
+        if z_next != z:
+            total += (z_next - z) * _hv_recursive(slab, sub_ref)
+    return total
 
 
 def hypervolume_exact(s: PointSet, r) -> float:
@@ -244,7 +250,9 @@ def hypervolume_exact(s: PointSet, r) -> float:
             f"hypervolume_exact supports at most {MAX_HV_POINTS} nondominated "
             f"points, got {nd.shape[0]}"
         )
-    return _hv_recursive(nd, ref)
+    # Distinct rows only: a duplicate adds no volume.
+    front = list(set(map(tuple, nd.tolist())))
+    return _hv_recursive(front, tuple(ref.tolist()))
 
 
 def hypervolume_mc(

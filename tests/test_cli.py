@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -23,6 +24,26 @@ def _write_pgm(path, arr):
     arr = np.asarray(arr, dtype=np.uint8)
     h, w = arr.shape
     path.write_bytes(f"P5\n{w} {h}\n255\n".encode() + arr.tobytes())
+
+
+class TestBlasThreads:
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def _threads_after_import(self, **overrides):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env.update(overrides)
+        code = f"import os, hvgan; print([os.environ[v] for v in {self.VARS!r}])"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_one_thread_by_default(self):
+        assert self._threads_after_import() == "['1', '1', '1']"
+
+    def test_user_setting_wins(self):
+        got = self._threads_after_import(OPENBLAS_NUM_THREADS="3")
+        assert got == "['3', '1', '1']"
 
 
 class TestHv:

@@ -1,8 +1,10 @@
-"""Golden reference: pinned outputs of a tiny training run and of ``hv --mc``.
+"""Golden reference: pinned outputs of a tiny training run, of ``hv --mc`` and
+of the exact hypervolume.
 
 The values below were recorded once and are compared against, not against a
 rerun of the current code. A refactor that keeps them passes; one that moves
-a training value past 1e-12 relative or changes one dominance count fails.
+a training value past 1e-12 relative, changes one dominance count or changes
+the last bit of an exact hypervolume fails.
 """
 
 import csv
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from hvgan import cli, model
+from hvgan.moo import Orientation, PointSet, hypervolume_exact
 from hvgan.synth import write_corpus
 
 REL = 1e-12
@@ -83,6 +86,72 @@ HV_STDOUT = {
 }
 
 
+# Exact hypervolumes pinned bit for bit: a 32-point 3-objective front, a
+# 32-point 6-objective set with 25 nondominated points, and an integer grid
+# with duplicate rows, tied last-objective values and points on the
+# reference face.
+HV_SET_3D = (
+    (0.543, 0.271, 0.491), (0.428, 0.181, 0.96), (0.584, 0.754, 0.125),
+    (0.389, 0.479, 0.404), (0.402, 0.199, 0.974), (0.51, 0.169, 0.737),
+    (0.265, 0.558, 0.486), (0.064, 0.662, 0.896), (0.106, 0.663, 0.703),
+    (0.366, 0.346, 0.587), (0.883, 0.122, 0.535), (0.229, 0.691, 0.442),
+    (0.748, 0.4, 0.241), (0.708, 0.743, 0.079), (0.155, 0.744, 0.531),
+    (0.613, 0.08, 0.943), (0.204, 0.722, 0.462), (0.808, 0.987, 0.019),
+    (0.251, 0.58, 0.487), (0.916, 0.06, 0.67), (0.476, 0.343, 0.458),
+    (0.521, 0.678, 0.183), (0.367, 0.299, 0.67), (0.854, 0.134, 0.522),
+    (0.036, 0.952, 0.737), (0.478, 0.168, 0.813), (0.084, 0.911, 0.609),
+    (0.067, 0.776, 0.718), (0.893, 0.091, 0.598), (0.527, 0.125, 0.895),
+    (0.557, 0.104, 0.971), (0.723, 0.149, 0.554),
+)
+HV_SET_6D = (
+    (1.0, 1.0, 0.664, 1.0, 0.776, 0.963),
+    (0.422, 0.58, 0.688, 0.439, 0.724, 0.982),
+    (0.175, 0.922, 0.558, 0.74, 0.807, 0.888),
+    (0.786, 0.458, 0.933, 0.29, 0.654, 0.817),
+    (0.427, 0.94, 0.528, 0.415, 0.71, 0.86),
+    (0.19, 0.832, 0.872, 0.566, 0.828, 0.715),
+    (0.756, 0.952, 0.707, 0.442, 0.53, 0.434),
+    (0.54, 0.733, 0.91, 0.893, 0.502, 0.33),
+    (0.319, 0.503, 0.865, 0.543, 0.998, 0.752),
+    (0.381, 0.81, 0.793, 0.665, 0.431, 0.682),
+    (0.805, 0.477, 0.223, 0.778, 0.853, 0.884),
+    (0.499, 0.582, 0.799, 0.302, 0.984, 0.784),
+    (0.99, 1.0, 0.696, 0.876, 1.0, 1.0),
+    (0.98, 0.167, 0.922, 0.737, 0.843, 0.546),
+    (0.532, 0.769, 0.787, 0.526, 0.724, 0.382),
+    (1.0, 0.601, 1.0, 1.0, 1.0, 0.859),
+    (1.0, 1.0, 0.771, 0.745, 1.0, 0.923),
+    (0.922, 0.492, 0.587, 0.395, 0.663, 0.706),
+    (0.05, 0.837, 0.754, 0.954, 0.968, 0.915),
+    (0.709, 0.682, 0.403, 0.695, 0.646, 0.511),
+    (0.605, 0.577, 0.962, 0.285, 0.932, 0.614),
+    (0.339, 0.88, 0.736, 0.522, 0.516, 0.875),
+    (0.857, 0.471, 0.994, 0.583, 0.439, 0.54),
+    (0.497, 0.907, 1.0, 1.0, 1.0, 1.0),
+    (0.866, 0.849, 0.202, 0.954, 0.663, 0.546),
+    (0.841, 0.954, 0.531, 0.718, 0.994, 0.18),
+    (0.891, 0.962, 0.57, 0.131, 0.814, 0.892),
+    (0.781, 0.902, 0.249, 0.979, 0.964, 0.386),
+    (0.658, 0.965, 0.902, 1.0, 0.965, 1.0),
+    (0.775, 0.944, 0.459, 0.623, 0.29, 0.912),
+    (0.856, 0.264, 0.567, 0.859, 0.692, 0.633),
+    (1.0, 0.859, 1.0, 1.0, 0.662, 0.888),
+)
+HV_SET_5D_GRID = (
+    (2, 3, 3, 2, 3), (3, 3, 0, 1, 2), (1, 1, 2, 3, 2), (0, 2, 3, 0, 2),
+    (1, 3, 0, 1, 3), (1, 0, 3, 3, 3), (3, 1, 2, 3, 2), (3, 2, 0, 1, 2),
+    (1, 2, 1, 3, 0), (2, 0, 0, 2, 1), (1, 1, 3, 2, 1), (3, 3, 1, 0, 0),
+    (0, 2, 2, 2, 3), (3, 2, 2, 0, 1), (3, 3, 0, 1, 1), (2, 0, 1, 1, 0),
+    (3, 2, 0, 3, 2), (0, 2, 1, 1, 1), (3, 3, 0, 1, 2), (1, 3, 0, 1, 3),
+    (3, 2, 0, 1, 2),
+)
+HV_EXACT_HEX = {
+    "3d": (HV_SET_3D, 1.0, "0x1.963d9c0f3721fp-2"),
+    "6d": (HV_SET_6D, 1.0, "0x1.e26ab54ca1c47p-8"),
+    "5d_grid": (HV_SET_5D_GRID, 3.0, "0x1.d000000000000p+5"),
+}
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     """The test_determinism tiny config, trained once."""
@@ -143,3 +212,11 @@ def test_hv_mc_stdout_is_pinned(tmp_path, dim):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == HV_STDOUT[dim]
+
+
+@pytest.mark.parametrize("name", sorted(HV_EXACT_HEX))
+def test_hv_exact_is_bit_identical(name):
+    rows, ref, want = HV_EXACT_HEX[name]
+    points = PointSet.from_rows(rows, Orientation.MINIMIZE)
+    got = hypervolume_exact(points, (ref,) * len(rows[0]))
+    assert float.hex(got) == want

@@ -158,6 +158,16 @@ class TestHypervolumeExact:
             got = hypervolume_exact(pset(pts), ref)
             want = hv_inclusion_exclusion(pts, ref)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+        # Integer grids: duplicate rows, ties in the last objective and
+        # points on the reference face, which continuous draws never give.
+        for _ in range(120):
+            n = int(rng.integers(3, 7))
+            k = int(rng.integers(1, 11))
+            pts = rng.integers(0, 4, size=(k, n)).astype(float)
+            ref = np.full(n, float(rng.integers(3, 5)))
+            got = hypervolume_exact(pset(pts), ref)
+            want = hv_inclusion_exclusion(pts, ref)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_matches_inclusion_exclusion_in_six_dimensions(self):
         rng = np.random.default_rng(22)

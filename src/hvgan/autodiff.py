@@ -5,7 +5,9 @@ the current thread, each op whose inputs require gradients appends the result
 to the tape together with a closure that pushes the output cotangent back to
 the parents. ``Tape.backward`` then sweeps the recorded ops in strict reverse
 order, so by construction every node's gradient is complete before its
-closure fires.
+closure fires. The linear ops (``matmul``, ``conv2d``, ``bias_add``) compute
+a parent's gradient only when that parent requires gradients, so constant
+inputs and frozen weights cost no backward work.
 
 Every forward op validates that its result is finite and raises
 ``FloatingPointError`` otherwise, which turns silent NaN propagation into an
@@ -142,7 +144,7 @@ def zero_grads(params: Sequence[Tensor]) -> None:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not (t.requires_grad or t._parents):
+    if not t.requires_grad:  # a tensor with parents always requires grad
         return
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)
@@ -251,8 +253,10 @@ def matmul(a, b) -> Tensor:
         )
 
     def vjp(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _record("matmul", a.data @ b.data, (a, b), vjp)
 
@@ -269,8 +273,10 @@ def conv2d(x, w) -> Tensor:
         raise ValueError(f"conv2d: kernel extents must be odd, got ({kh}, {kw})")
 
     def vjp(g):
-        _accumulate(x, kernels.conv2d_grad_input(g, w.data))
-        _accumulate(w, kernels.conv2d_grad_weight(x.data, g, kh, kw))
+        if x.requires_grad:
+            _accumulate(x, kernels.conv2d_grad_input(g, w.data))
+        if w.requires_grad:
+            _accumulate(w, kernels.conv2d_grad_weight(x.data, g, kh, kw))
 
     return _record("conv2d", kernels.conv2d_forward(x.data, w.data), (x, w), vjp)
 
@@ -284,8 +290,10 @@ def bias_add(x, b) -> Tensor:
         )
 
     def vjp(g):
-        _accumulate(x, g)
-        _accumulate(b, g.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            _accumulate(x, g)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=(0, 2, 3)))
 
     return _record("bias_add", x.data + b.data[None, :, None, None], (x, b), vjp)
 

@@ -1,7 +1,12 @@
 """Hot numeric kernels: same-padding conv2d and Monte-Carlo dominance counting.
 
-conv2d is im2col followed by one BLAS matmul. The dominance counter compares
-the samples column by column, one point at a time.
+conv2d is im2col followed by one BLAS matmul. The patch matrix ``cols`` is
+channel-first, (C*kh*kw, N*H*W), built from a zero-padded channel-major copy
+of the input with one slice copy per kernel tap. The forward pass is then
+``w.reshape(O, -1) @ cols`` and the weight gradient is the (O, N*H*W) output
+gradient times ``cols.T``; the input gradient is a forward pass with the
+flipped kernel. The dominance counter compares the samples column by column,
+one point at a time.
 """
 
 from __future__ import annotations
@@ -20,25 +25,31 @@ BACKEND = "numpy"
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(N,C,H,W) -> (N*H*W, C*kh*kw) patch matrix under same zero padding."""
+    """(N,C,H,W) -> (C*kh*kw, N*H*W) patch matrix under same zero padding.
+
+    Row ``(c*kh + i)*kw + j`` holds channel c shifted by tap (i, j), which is
+    the order of ``w.reshape(O, -1)``. The input is padded once into a
+    channel-major (C, N, H+kh-1, W+kw-1) copy; each tap is then one slice
+    assignment that fills C contiguous rows of N*H*W values.
+    """
     n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + kh - 1, w + kw - 1), dtype=x.dtype)
-    xp[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    # (n, c, h, w, kh, kw) -> (n, h, w, c, kh, kw)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * w, c * kh * kw)
-    return np.ascontiguousarray(cols)
+    xp = np.zeros((c, n, h + kh - 1, w + kw - 1), dtype=x.dtype)
+    xp[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, h, w), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, :, i : i + h, j : j + w]
+    return cols.reshape(c * kh * kw, n * h * w)
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Stride-1 same-zero-padding correlation of (N,C,H,W) with (O,C,kh,kw)."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
     n, _, h, wd = x.shape
     o = w.shape[0]
-    cols = _im2col(x, w.shape[2], w.shape[3])
-    out = cols @ w.reshape(o, -1).T
-    return np.ascontiguousarray(out.reshape(n, h, wd, o).transpose(0, 3, 1, 2))
+    out = w.reshape(o, -1) @ _im2col(x, w.shape[2], w.shape[3])
+    return np.ascontiguousarray(out.reshape(o, n, h, wd).transpose(1, 0, 2, 3))
 
 
 def conv2d_grad_input(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -53,13 +64,12 @@ def conv2d_grad_input(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def conv2d_grad_weight(x: np.ndarray, gy: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Gradient of conv2d_forward w.r.t. the (O,C,kh,kw) kernel."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    gy = np.ascontiguousarray(gy, dtype=np.float64)
-    n, c, h, wd = x.shape
+    x = np.asarray(x, dtype=np.float64)
+    gy = np.asarray(gy, dtype=np.float64)
+    c = x.shape[1]
     o = gy.shape[1]
-    cols = _im2col(x, kh, kw)
-    gflat = np.ascontiguousarray(gy.transpose(0, 2, 3, 1).reshape(n * h * wd, o))
-    return (gflat.T @ cols).reshape(o, c, kh, kw)
+    gflat = gy.transpose(1, 0, 2, 3).reshape(o, -1)
+    return (gflat @ _im2col(x, kh, kw).T).reshape(o, c, kh, kw)
 
 
 def count_dominated(samples: np.ndarray, points: np.ndarray) -> int:

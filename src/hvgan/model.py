@@ -9,7 +9,10 @@ The generator step backpropagates the weighted sum ``sum_k w_k l_k`` with the
 weights held as constants of the current iterate. For the hypervolume modes
 the weights are ``1/max(mu_k - l_k, eps)``, which is exactly the gradient the
 log objectives induce, so the two hypervolume variants (which differ by an
-additive constant) produce bit-identical parameter trajectories.
+additive constant) produce bit-identical parameter trajectories. The
+generator step freezes the discriminator: D's parameters stop requiring
+gradients for the step, so the backward pass computes no D weight gradients
+and skips the D(real) branch, which cannot reach G.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -488,6 +492,20 @@ def train_step_discriminator(
     return loss.item()
 
 
+@contextmanager
+def _frozen(params: Sequence[ad.Parameter]):
+    """Parameters stop requiring gradients inside the block; restored on
+    exit, also when the block raises."""
+    saved = [q.requires_grad for q in params]
+    for q in params:
+        q.requires_grad = False
+    try:
+        yield
+    finally:
+        for q, flag in zip(params, saved):
+            q.requires_grad = flag
+
+
 def train_step_generator(
     g: GeneratorNet,
     d: DiscriminatorNet,
@@ -502,8 +520,9 @@ def train_step_generator(
     adversarial: str,
 ) -> tuple[np.ndarray, float, np.ndarray, int]:
     """One generator step: returns (loss vector, scalarized value, weights,
-    clamp-event count). The discriminator is read but never updated."""
-    with ad.Tape() as tape:
+    clamp-event count). The discriminator is frozen for the step (no
+    gradients of its own, see the module docstring) and never updated."""
+    with _frozen(d.params()), ad.Tape() as tape:
         fake = g.forward(ad.Tensor(lr_batch))
         hr_t = ad.Tensor(hr_batch)
         logits_fake = d.forward(fake)
@@ -531,7 +550,6 @@ def train_step_generator(
         tape.backward(total)
     opt.step()
     ad.zero_grads(g.params())
-    ad.zero_grads(d.params())
     return losses, scalar, weights, clamped
 
 

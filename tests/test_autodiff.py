@@ -140,12 +140,17 @@ class TestForwardValues:
 
     def test_conv2d_matches_naive_reference(self):
         rng = np.random.default_rng(70)
+        # non-square kernels, N=1 and O=1, then random draws
+        shapes = [((1, 2, 5, 7), (3, 1, 3)), ((2, 3, 6, 4), (1, 3, 5)),
+                  ((1, 1, 4, 6), (1, 5, 1))]
         for _ in range(10):
             n, ci, co = (int(v) for v in rng.integers(1, 4, size=3))
             h, w = (int(v) for v in rng.integers(3, 8, size=2))
-            k = int(rng.choice([1, 3, 5]))
+            kh, kw = (int(v) for v in rng.choice([1, 3, 5], size=2))
+            shapes.append(((n, ci, h, w), (co, kh, kw)))
+        for (n, ci, h, w), (co, kh, kw) in shapes:
             x = rng.standard_normal((n, ci, h, w))
-            ker = rng.standard_normal((co, ci, k, k))
+            ker = rng.standard_normal((co, ci, kh, kw))
             out = ad.conv2d(Tensor(x), Tensor(ker))
             assert np.allclose(out.data, conv2d_naive(x, ker), rtol=0, atol=1e-12)
 

@@ -7,20 +7,38 @@ from hvgan.moo import MAX_HV_DIM
 from oracles import conv2d_naive
 
 
-def _random_case(rng):
-    n, ci, co = (int(v) for v in rng.integers(1, 4, size=3))
-    h, w = (int(v) for v in rng.integers(3, 9, size=2))
-    k = int(rng.choice([1, 3, 5]))
+# shapes every conv test covers whatever the random draws give: non-square
+# kernels (the im2col tap loop indexes kh and kw separately), N=1 and O=1
+FIXED_SHAPES = [  # ((N, C, H, W), (O, kh, kw))
+    ((1, 2, 5, 7), (3, 1, 3)),
+    ((2, 3, 6, 4), (1, 3, 5)),
+    ((1, 1, 4, 6), (1, 5, 1)),
+    ((3, 2, 5, 5), (2, 5, 3)),
+]
+
+
+def _random_case(rng, shape=None):
+    if shape is None:
+        n, ci, co = (int(v) for v in rng.integers(1, 4, size=3))
+        h, w = (int(v) for v in rng.integers(3, 9, size=2))
+        kh, kw = (int(v) for v in rng.choice([1, 3, 5], size=2))
+    else:
+        (n, ci, h, w), (co, kh, kw) = shape
     x = rng.standard_normal((n, ci, h, w))
-    ker = rng.standard_normal((co, ci, k, k))
+    ker = rng.standard_normal((co, ci, kh, kw))
     return x, ker
+
+
+def _cases(rng, count):
+    return [_random_case(rng, s) for s in FIXED_SHAPES] + [
+        _random_case(rng) for _ in range(count)
+    ]
 
 
 class TestNumpyKernels:
     def test_forward_matches_naive(self):
         rng = np.random.default_rng(80)
-        for _ in range(20):
-            x, ker = _random_case(rng)
+        for x, ker in _cases(rng, 20):
             got = kernels.conv2d_forward(x, ker)
             assert np.allclose(got, conv2d_naive(x, ker), rtol=0, atol=1e-12)
 
@@ -51,14 +69,25 @@ class TestNumpyKernels:
     def test_grad_input_is_the_transpose_map(self):
         # <conv(x, w), gy> == <x, grad_input(gy, w)> for all x, gy
         rng = np.random.default_rng(83)
-        for _ in range(10):
-            x, ker = _random_case(rng)
+        for x, ker in _cases(rng, 10):
             gy = rng.standard_normal(
                 (x.shape[0], ker.shape[0], x.shape[2], x.shape[3])
             )
             lhs = np.sum(kernels.conv2d_forward(x, ker) * gy)
             rhs = np.sum(x * kernels.conv2d_grad_input(gy, ker))
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_grad_weight_is_the_adjoint_of_the_naive_conv(self):
+        # <conv(x, w), gy> == <w, grad_weight(x, gy)> for all w, gy
+        rng = np.random.default_rng(86)
+        for x, ker in _cases(rng, 10):
+            gy = rng.standard_normal(
+                (x.shape[0], ker.shape[0], x.shape[2], x.shape[3])
+            )
+            lhs = np.sum(conv2d_naive(x, ker) * gy)
+            gw = kernels.conv2d_grad_weight(x, gy, ker.shape[2], ker.shape[3])
+            assert gw.shape == ker.shape
+            assert lhs == pytest.approx(np.sum(ker * gw), rel=1e-12)
 
     def test_count_dominated_small_cases(self):
         points = np.array([[0.5, 0.5]])

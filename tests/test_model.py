@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hvgan import autodiff as ad
+from hvgan import kernels
 from hvgan import model
 from hvgan.data_io import ImageBuffer
 from hvgan.losses import (
@@ -462,6 +463,66 @@ class TestGeneratorStep:
         for p in g.params():
             combo = sum(w * parts[k][1][p.name] for k, w in enumerate(weights))
             assert np.allclose(p.grad, combo, rtol=1e-8, atol=1e-12)
+
+
+class TestNoDiscardedGradients:
+    """Each step runs exactly the conv gradient kernels whose results it keeps.
+
+    Tiny nets: G has 4 convs, D 2, the frozen extractor 3. A gradient w.r.t.
+    a conv input is needed only when that input depends on a trained weight.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"grad_weight": 0, "grad_input": 0}
+        for kind in counts:
+            real = getattr(kernels, f"conv2d_{kind}")
+
+            def counted(*args, _real=real, _kind=kind):
+                counts[_kind] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(kernels, f"conv2d_{kind}", counted)
+        return counts
+
+    @staticmethod
+    def _g_step(g, d, lr_b, hr_b, seed=60):
+        return train_step_generator(
+            g, d, lr_b, hr_b, ScalarizationMode("hv_log"), (20.0, 0.1, 10.0),
+            1e-6, Adam(g.params(), 1e-3), FeatureExtractor(1, [seed, 3]), 1,
+            "relativistic",
+        )
+
+    def test_pretrain_step(self, calls):
+        g, _ = _tiny_nets(60)
+        pretrain_generator(g, _const_images(), 1, 1e-3, 2, 8, np.random.default_rng(0))
+        # every G conv weight; every G conv input but the constant LR batch
+        assert calls == {"grad_weight": 4, "grad_input": 3}
+
+    def test_discriminator_step(self, calls):
+        g, d = _tiny_nets(61)
+        lr_b, hr_b = _batch(61)
+        train_step_discriminator(g, d, lr_b, hr_b, Adam(d.params(), 1e-3))
+        # D's 2 weights on the real and the detached fake branch; only conv2's
+        # input (an activation of conv1) needs a gradient on each branch
+        assert calls == {"grad_weight": 4, "grad_input": 2}
+
+    def test_generator_step(self, calls):
+        g, d = _tiny_nets(62)
+        lr_b, hr_b = _batch(62)
+        self._g_step(g, d, lr_b, hr_b, seed=62)
+        # G's 4 weights; inputs: 3 in G, 2 in D(fake), 3 in the extractor on
+        # fake. D(real), the extractor on real and every frozen weight: none.
+        assert calls == {"grad_weight": 4, "grad_input": 8}
+        assert all(p.requires_grad is True and p.grad is None for p in d.params())
+
+    def test_discriminator_is_unfrozen_after_a_failed_step(self):
+        g, d = _tiny_nets(63)
+        lr_b, hr_b = _batch(63)
+        hr_b[0, 0, 0, 0] = np.nan
+        with pytest.raises(FloatingPointError):
+            self._g_step(g, d, lr_b, hr_b, seed=63)
+        assert all(p.requires_grad is True for p in d.params())
 
 
 class TestAdversarialPhase:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, model
 from .autodiff import gradcheck_suite
-from .data_io import bicubic_downscale, load_image, read_points_csv
+from .data_io import ImageBuffer, bicubic_downscale, load_image, read_points_csv
 from .metrics import gmsd, psnr, ssim
 from .moo import Orientation, hypervolume_exact, hypervolume_mc, pareto_filter
 from .synth import write_corpus
@@ -49,7 +49,26 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_json_atomic(path: Path, payload: dict) -> None:
+def _read_config(path) -> tuple[model.TrainConfig, str]:
+    """The parsed config and its raw text, which the manifest keeps verbatim."""
+    raw_text = Path(path).read_text(encoding="utf-8")
+    return model.TrainConfig.from_dict(json.loads(raw_text)), raw_text
+
+
+def _write_manifest(
+    out: Path, config: model.TrainConfig, raw_text: str, started: str, tail: dict
+) -> None:
+    """Atomically write ``out/manifest.json``: the common run keys, then the
+    command's own keys in ``tail`` (which ends with ``outputs``)."""
+    payload = {
+        "artifact_version": __version__,
+        "seed": config.seed,
+        "started_at": started,
+        "finished_at": _utc_now(),
+        "config": raw_text,
+        **tail,
+    }
+    path = out / "manifest.json"
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     os.replace(tmp, path)
@@ -100,33 +119,38 @@ def cmd_eval(args) -> int:
 
 
 def cmd_train(args) -> int:
-    raw_text = Path(args.config).read_text(encoding="utf-8")
-    config = model.TrainConfig.from_dict(json.loads(raw_text))
+    config, raw_text = _read_config(args.config)
     started = _utc_now()
     result = model.train(config)
     outputs = [result.pretrain_path, result.history_path, result.checkpoint_path]
-    manifest = Path(config.output_dir) / "manifest.json"
-    _write_json_atomic(
-        manifest,
-        {
-            "artifact_version": __version__,
-            "seed": config.seed,
-            "started_at": started,
-            "finished_at": _utc_now(),
-            "config": raw_text,
-            "outputs": outputs,
-        },
+    _write_manifest(
+        Path(config.output_dir), config, raw_text, started, {"outputs": outputs}
     )
     print(f"wrote {result.history_path}")
     return 0
 
 
-def _evaluate_generator(g: model.GeneratorNet, eval_paths) -> tuple[float, float, float]:
+def _load_eval_pairs(paths, channels: int) -> list[tuple[ImageBuffer, ImageBuffer]]:
+    """(original, x4 bicubic downscale) of every eval image, each loaded and
+    downscaled once; an image whose channel count differs from the corpus's
+    is rejected by name."""
+    pairs = []
+    for path in paths:
+        img = load_image(path)
+        if img.channels != channels:
+            raise ValueError(
+                f"eval image {path} has {img.channels} channel(s), "
+                f"the corpus has {channels}"
+            )
+        pairs.append((img, bicubic_downscale(img, 4)))
+    return pairs
+
+
+def _evaluate_generator(g: model.GeneratorNet, eval_pairs) -> tuple[float, float, float]:
     """Average metrics of x4 SR reconstructions against the originals."""
     psnrs, ssims, gmsds = [], [], []
-    for path in eval_paths:
-        img = load_image(path)
-        sr = model.apply_generator(g, bicubic_downscale(img, 4))
+    for img, lr in eval_pairs:
+        sr = model.apply_generator(g, lr)
         psnrs.append(psnr(sr.data, img.data))
         ssims.append(ssim(sr.data, img.data))
         gmsds.append(gmsd(sr.data, img.data))
@@ -134,60 +158,40 @@ def _evaluate_generator(g: model.GeneratorNet, eval_paths) -> tuple[float, float
 
 
 def cmd_compare(args) -> int:
-    raw_text = Path(args.config).read_text(encoding="utf-8")
-    config = model.TrainConfig.from_dict(json.loads(raw_text))
+    config, raw_text = _read_config(args.config)
     if not config.eval_list:
         raise ValueError("compare requires a nonempty eval_list in the config")
     started = _utc_now()
+    # eval images are checked against the corpus before any training, so the
+    # corpus is read here for its channel count and again in model.pretrain
+    channels = model.load_corpus(config.dataset)[0].channels
+    eval_pairs = _load_eval_pairs(config.eval_list, channels)
+    images, g, d, extractor, pre_rows = model.pretrain(config)
+
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    images = model.load_corpus(config.dataset)
-    channels = images[0].channels
-    g, d = model.init_networks(
-        config.seed, channels, config.gen_width, config.disc_width
-    )
-    extractor = model.FeatureExtractor(channels, [config.seed, 3], config.feature_tap)
-    pre_rows = model.pretrain_generator(
-        g,
-        images,
-        config.pretrain_iters,
-        config.lr,
-        config.batch_size,
-        config.patch_size,
-        np.random.default_rng([config.seed, 1]),
-        config.norm_p,
-    )
-    shared_params = g.params() + d.params()
+    params = g.params() + d.params()
     shared_ckpt = out / "pretrained.hvgn"
-    model.save_checkpoint(shared_ckpt, shared_params)
+    model.save_checkpoint(shared_ckpt, params)
     ckpt_sha = hashlib.sha256(shared_ckpt.read_bytes()).hexdigest()
     print(f"pretrained checkpoint sha256 {ckpt_sha}")
     model.write_pretrain_csv(out / "pretrain.csv", pre_rows)
-    shared_state = model.load_checkpoint(shared_ckpt)
+    pretrained = model.get_state(params)
 
     outputs = [str(shared_ckpt), str(out / "pretrain.csv")]
     rows = []
     for mode_name in COMPARE_MODES:
-        run_cfg = dataclasses.replace(
-            config, mode=mode_name, output_dir=str(out / mode_name)
-        )
-        g_m, d_m = model.init_networks(
-            config.seed, channels, config.gen_width, config.disc_width
-        )
-        model.set_state(g_m.params() + d_m.params(), shared_state)
+        # every mode starts from the pretrained weights
+        model.set_state(params, pretrained)
         history = model.adversarial_phase(
-            g_m, d_m, images, run_cfg, extractor,
-            np.random.default_rng([config.seed, 2]),
+            g, d, images, dataclasses.replace(config, mode=mode_name), extractor
         )
-        mode_dir = out / mode_name
-        mode_dir.mkdir(parents=True, exist_ok=True)
-        history_path = mode_dir / "history.csv"
+        history_path = out / mode_name / "history.csv"
+        history_path.parent.mkdir(exist_ok=True)
         model.write_history_csv(history_path, history)
         outputs.append(str(history_path))
         clamp_events = sum(int(r[8]) for r in history)
-        mean_psnr, mean_ssim, mean_gmsd = _evaluate_generator(g_m, config.eval_list)
-        rows.append((mode_name, mean_psnr, mean_ssim, mean_gmsd, clamp_events))
+        rows.append((mode_name, *_evaluate_generator(g, eval_pairs), clamp_events))
 
     results_path = out / "results.csv"
     lines = [RESULTS_HEADER]
@@ -196,17 +200,9 @@ def cmd_compare(args) -> int:
     results_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     outputs.append(str(results_path))
 
-    _write_json_atomic(
-        out / "manifest.json",
-        {
-            "artifact_version": __version__,
-            "seed": config.seed,
-            "started_at": started,
-            "finished_at": _utc_now(),
-            "config": raw_text,
-            "pretrained_checkpoint_sha256": ckpt_sha,
-            "outputs": outputs,
-        },
+    _write_manifest(
+        out, config, raw_text, started,
+        {"pretrained_checkpoint_sha256": ckpt_sha, "outputs": outputs},
     )
     print(f"wrote {results_path}")
     return 0

@@ -1,5 +1,10 @@
 """Small conv generator/discriminator, Adam, and the two-phase training loop.
 
+``pretrain`` is the one setup that ``train`` and ``hvgan compare`` share: it
+loads the corpus, builds G, D and the frozen feature extractor, and pretrains
+G on the pixel loss. Both then run ``adversarial_phase``, ``train`` once and
+``compare`` once per mode from the same pretrained weights.
+
 Training is deterministic by construction: every stochastic choice flows from
 ``np.random.default_rng([seed, stream])`` with a fixed stream id per phase
 (0 = weight init, 1 = pretraining batches, 2 = adversarial batches,
@@ -58,6 +63,7 @@ __all__ = [
     "train_step_discriminator",
     "train_step_generator",
     "adversarial_phase",
+    "pretrain",
     "train",
     "load_corpus",
     "lr_at",
@@ -511,22 +517,21 @@ def train_step_generator(
     d: DiscriminatorNet,
     lr_batch: np.ndarray,
     hr_batch: np.ndarray,
-    mode: ScalarizationMode,
-    mu,
-    eps: float,
+    config: TrainConfig,
     opt: Adam,
     extractor: FeatureExtractor,
-    p: int,
-    adversarial: str,
 ) -> tuple[np.ndarray, float, np.ndarray, int]:
-    """One generator step: returns (loss vector, scalarized value, weights,
+    """One generator step under the config's mode, mu, eps, norm_p and
+    adversarial variant: returns (loss vector, scalarized value, weights,
     clamp-event count). The discriminator is frozen for the step (no
     gradients of its own, see the module docstring) and never updated."""
+    mode = config.mode_obj()
+    mu, eps, p = config.resolved_mu, config.eps, config.norm_p
     with _frozen(d.params()), ad.Tape() as tape:
         fake = g.forward(ad.Tensor(lr_batch))
         hr_t = ad.Tensor(hr_batch)
         logits_fake = d.forward(fake)
-        if adversarial == "relativistic":
+        if config.adversarial == "relativistic":
             logits_real = d.forward(hr_t)
             l_gan = adv_loss_relativistic_g(logits_real, logits_fake)
         else:
@@ -559,11 +564,10 @@ def adversarial_phase(
     images: Sequence[ImageBuffer],
     config: TrainConfig,
     extractor: FeatureExtractor,
-    rng: np.random.Generator,
 ) -> list[tuple]:
-    """Alternating D/G steps (1:1), one shared batch per iteration."""
-    mode = config.mode_obj()
-    mu = config.resolved_mu
+    """Alternating D/G steps (1:1), one shared batch per iteration, drawn
+    from stream ``[seed, 2]``."""
+    rng = np.random.default_rng([config.seed, 2])
     opt_g = Adam(g.params(), config.lr)
     opt_d = Adam(d.params(), config.lr)
     rows = []
@@ -576,17 +580,7 @@ def adversarial_phase(
         )
         train_step_discriminator(g, d, lr_batch, hr_batch, opt_d)
         losses, scalar, weights, clamped = train_step_generator(
-            g,
-            d,
-            lr_batch,
-            hr_batch,
-            mode,
-            mu,
-            config.eps,
-            opt_g,
-            extractor,
-            config.norm_p,
-            config.adversarial,
+            g, d, lr_batch, hr_batch, config, opt_g, extractor
         )
         rows.append((t, *losses, scalar, *weights, clamped, step_lr))
     return rows
@@ -613,14 +607,14 @@ def write_pretrain_csv(path, rows: Sequence[tuple]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def train(config: TrainConfig) -> TrainResult:
-    """Pretrain, then alternate D/G steps; write history, pretrain log, and
-    checkpoint under the configured output directory."""
+def pretrain(config: TrainConfig):
+    """Everything before the adversarial phase: load the corpus, build G, D
+    and the feature extractor, and pretrain G on stream ``[seed, 1]``.
+    Returns (images, g, d, extractor, pretrain rows)."""
     images = load_corpus(config.dataset)
     channels = images[0].channels
     g, d = init_networks(config.seed, channels, config.gen_width, config.disc_width)
     extractor = FeatureExtractor(channels, [config.seed, 3], config.feature_tap)
-
     pre_rows = pretrain_generator(
         g,
         images,
@@ -631,9 +625,14 @@ def train(config: TrainConfig) -> TrainResult:
         np.random.default_rng([config.seed, 1]),
         config.norm_p,
     )
-    adv_rows = adversarial_phase(
-        g, d, images, config, extractor, np.random.default_rng([config.seed, 2])
-    )
+    return images, g, d, extractor, pre_rows
+
+
+def train(config: TrainConfig) -> TrainResult:
+    """Pretrain, then alternate D/G steps; write history, pretrain log, and
+    checkpoint under the configured output directory."""
+    images, g, d, extractor, pre_rows = pretrain(config)
+    adv_rows = adversarial_phase(g, d, images, config, extractor)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -252,9 +252,7 @@ def test_adversarial_stability(capsys, tmp_path):
         g, corpus, cfg.pretrain_iters, 1e-3, cfg.batch_size, cfg.patch_size,
         np.random.default_rng([0, 1]), 2,
     )
-    rows = model.adversarial_phase(
-        g, d, corpus, cfg, extractor, np.random.default_rng([0, 2])
-    )
+    rows = model.adversarial_phase(g, d, corpus, cfg, extractor)
     all_finite = len(rows) == 1000 and all(
         math.isfinite(float(v)) for row in rows for v in row
     )

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from hvgan.data_io import ImageBuffer, save_image
 from hvgan.model import init_networks, load_checkpoint
 from hvgan.synth import write_corpus
 
@@ -301,6 +302,40 @@ class TestCompare:
         proc = run_cli("compare", "--config", str(cfg_path))
         assert proc.returncode == 1
         assert "eval_list" in proc.stderr
+
+    def test_missing_eval_image_fails_before_training(self, tmp_path):
+        missing = tmp_path / "absent.pgm"
+        cfg_path, _ = _train_config(tmp_path, "noimg", eval_list=[str(missing)])
+        proc = run_cli("compare", "--config", str(cfg_path))
+        assert proc.returncode == 2
+        assert "absent.pgm" in proc.stderr
+        assert not (tmp_path / "noimg" / "pretrained.hvgn").exists()
+
+    def test_eval_image_channel_mismatch_is_named(self, tmp_path):
+        rgb = tmp_path / "rgb.ppm"
+        save_image(ImageBuffer(np.full((3, 16, 16), 0.5)), rgb)
+        cfg_path, _ = _train_config(tmp_path, "rgb", eval_list=[str(rgb)])
+        proc = run_cli("compare", "--config", str(cfg_path))
+        assert proc.returncode == 1
+        assert "rgb.ppm" in proc.stderr
+        assert not (tmp_path / "rgb" / "pretrained.hvgn").exists()
+
+    @pytest.mark.parametrize("mode", ["linear", "hv_log", "hv_log_norm"])
+    def test_train_writes_the_same_logs_as_compare(self, compare_run, tmp_path, mode):
+        out, _ = compare_run
+        cfg = json.loads((out.parent / "cfg.json").read_text())
+        cfg.update(mode=mode, output_dir=str(tmp_path / "train"))
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_cli("train", "--config", str(cfg_path))
+        assert proc.returncode == 0, proc.stderr
+        train_out = tmp_path / "train"
+        assert (train_out / "pretrain.csv").read_bytes() == (
+            out / "pretrain.csv"
+        ).read_bytes()
+        assert (train_out / "history.csv").read_bytes() == (
+            out / mode / "history.csv"
+        ).read_bytes()
 
 
 @pytest.fixture(scope="module")

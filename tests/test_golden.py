@@ -1,5 +1,5 @@
-"""Golden reference: pinned outputs of a tiny training run, of ``hv --mc`` and
-of the exact hypervolume.
+"""Golden reference: pinned outputs of a tiny training run, of a tiny
+``compare`` run, of ``hv --mc`` and of the exact hypervolume.
 
 The values below were recorded once and are compared against, not against a
 rerun of the current code. A refactor that keeps them passes; one that moves
@@ -63,6 +63,56 @@ CHECKPOINT_NORMS = [
     ("d.conv2.b", 0.008224198822202416),
     ("d.fc.w", 0.9815065114218674),
     ("d.fc.b", 0.002996237792675491),
+]
+
+# The compare_run config of tests/test_cli.py: results.csv rows (mode, psnr,
+# ssim, gmsd, clamp_events), every <mode>/history.csv row, and the
+# per-parameter L2 norm of pretrained.hvgn in file order.
+COMPARE_RESULTS = [
+    ["linear", 10.675526743281331, 0.0004888326733345217, 0.2397579179574681, 0],
+    ["hv_log", 10.677166993134664, 0.0006886514806177806, 0.23939766610224525, 2],
+    ["hv_log_norm", 10.677166993134664, 0.0006886514806177806,
+     0.23939766610224525, 2],
+]
+COMPARE_HISTORY = {
+    "linear": [
+        [1, 1.3831331838023053, 0.19201011770481607, 0.04585148932255447,
+         0.05468725641861416, 0.005, 0.01, 1.0, 0, 0.001],
+        [2, 1.3943568530377872, 0.14099007116754686, 0.03218690667129156,
+         0.04056859164815596, 0.005, 0.01, 1.0, 0, 0.0005],
+    ],
+    "hv_log": [
+        [1, 1.3831331838023053, 0.19201011770481607, 0.04585148932255447,
+         8.593453170057666, 0.05371473137090636, 1000000.0, 0.10046062693633083,
+         1, 0.001],
+        [2, 1.3943703879761462, 0.14106445261053546, 0.032209013030916306,
+         8.59268736230324, 0.05374717334767063, 1000000.0, 0.10032313090305589,
+         1, 0.0005],
+    ],
+    "hv_log_norm": [
+        [1, 1.3831331838023053, 0.19201011770481607, 0.04585148932255447,
+         13.891770536605703, 0.05371473137090636, 1000000.0, 0.10046062693633083,
+         1, 0.001],
+        [2, 1.3943703879761462, 0.14106445261053546, 0.032209013030916306,
+         13.891004728851275, 0.05374717334767063, 1000000.0, 0.10032313090305589,
+         1, 0.0005],
+    ],
+}
+PRETRAINED_NORMS = [
+    ("g.conv1.w", 1.5492697857213054),
+    ("g.conv1.b", 0.0038687979328560066),
+    ("g.conv2.w", 2.015570557194155),
+    ("g.conv2.b", 0.0038872653828918038),
+    ("g.conv3.w", 2.1581100501569277),
+    ("g.conv3.b", 0.003821092374278297),
+    ("g.conv4.w", 0.9136078325801616),
+    ("g.conv4.b", 0.0020010808720608395),
+    ("d.conv1.w", 1.709545966388461),
+    ("d.conv1.b", 0.0),
+    ("d.conv2.w", 2.823482743083387),
+    ("d.conv2.b", 0.0),
+    ("d.fc.w", 0.9844586016885564),
+    ("d.fc.b", 0.0),
 ]
 
 POINTS_3D = (
@@ -196,6 +246,56 @@ def test_checkpoint_norms_match_pinned_values(tiny_run):
     state = model.load_checkpoint(tiny_run / "checkpoint.hvgn")
     assert list(state) == [name for name, _ in CHECKPOINT_NORMS]
     for name, want in CHECKPOINT_NORMS:
+        got = float(np.linalg.norm(state[name]))
+        assert got == pytest.approx(want, rel=REL, abs=0), name
+
+
+@pytest.fixture(scope="module")
+def tiny_compare(tmp_path_factory):
+    """The compare_run config of tests/test_cli.py, compared once."""
+    root = tmp_path_factory.mktemp("golden_compare")
+    corpus = root / "corpus"
+    write_corpus(corpus, seed=0, count=2, size=24)
+    eval_img = root / "eval.pgm"
+    pixels = np.random.default_rng(132).integers(0, 256, size=(16, 16))
+    eval_img.write_bytes(b"P5\n16 16\n255\n" + pixels.astype(np.uint8).tobytes())
+    cfg = {
+        "dataset": str(corpus), "output_dir": str(root / "out"),
+        "seed": 0, "pretrain_iters": 2, "adversarial_iters": 2,
+        "batch_size": 2, "patch_size": 8, "lr": 1e-3,
+        "lr_milestones": [2], "gen_width": 4, "disc_width": 4,
+        "eval_list": [str(eval_img)],
+    }
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["compare", "--config", str(cfg_path)]) == 0
+    return root / "out"
+
+
+def test_compare_results_match_pinned_values(tiny_compare):
+    with open(tiny_compare / "results.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["mode", "psnr", "ssim", "gmsd", "clamp_events"]
+    assert len(rows) - 1 == len(COMPARE_RESULTS)
+    for got, want in zip(rows[1:], COMPARE_RESULTS):
+        assert got[0] == want[0]
+        assert [float(v) for v in got[1:4]] == pytest.approx(want[1:4], rel=REL, abs=0)
+        assert int(got[4]) == want[4]
+
+
+@pytest.mark.parametrize("mode", sorted(COMPARE_HISTORY))
+def test_compare_history_matches_pinned_values(tiny_compare, mode):
+    got_header, got_rows = _read_csv(tiny_compare / mode / "history.csv")
+    assert got_header == HISTORY_HEADER
+    assert len(got_rows) == len(COMPARE_HISTORY[mode])
+    for got, want in zip(got_rows, COMPARE_HISTORY[mode]):
+        assert got == pytest.approx(want, rel=REL, abs=0)
+
+
+def test_pretrained_checkpoint_norms_match_pinned_values(tiny_compare):
+    state = model.load_checkpoint(tiny_compare / "pretrained.hvgn")
+    assert list(state) == [name for name, _ in PRETRAINED_NORMS]
+    for name, want in PRETRAINED_NORMS:
         got = float(np.linalg.norm(state[name]))
         assert got == pytest.approx(want, rel=REL, abs=0), name
 

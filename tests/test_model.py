@@ -50,6 +50,14 @@ def _batch(seed=0, n=2, ps=8):
     return model._draw_batch(imgs, n, ps, rng)
 
 
+def _step_config(mode="hv_log", mu=(20.0, 0.1, 10.0), eps=1e-6, **over):
+    """What train_step_generator reads: mode, mu, eps, norm_p 1, relativistic."""
+    return TrainConfig(
+        dataset="unused", output_dir="unused", mode=mode, mu=mu, eps=eps,
+        norm_p=1, adversarial="relativistic", **over,
+    )
+
+
 class TestNetworks:
     def test_same_seed_identical_weights(self):
         g1, d1 = _tiny_nets(5)
@@ -351,32 +359,31 @@ class TestDiscriminatorStep:
 
 class TestGeneratorStep:
     @staticmethod
-    def _step(mode, mu=(20.0, 0.1, 10.0), seed=40, eps=1e-6):
+    def _step(mode, seed=40, **over):
         g, d = _tiny_nets(seed)
         extractor = FeatureExtractor(1, [seed, 3])
         lr_b, hr_b = _batch(seed)
         opt = Adam(g.params(), 1e-3)
-        out = train_step_generator(
-            g, d, lr_b, hr_b, mode, mu, eps, opt, extractor, 1, "relativistic"
-        )
+        cfg = _step_config(mode, **over)
+        out = train_step_generator(g, d, lr_b, hr_b, cfg, opt, extractor)
         return g, d, out
 
     def test_returned_weights_match_reciprocal_gaps(self):
-        _, _, (losses, _, weights, _) = self._step(ScalarizationMode("hv_log"))
+        _, _, (losses, _, weights, _) = self._step("hv_log")
         want = 1.0 / np.maximum(np.array((20.0, 0.1, 10.0)) - losses, 1e-6)
         assert np.allclose(weights, want, rtol=0, atol=1e-10)
 
     def test_hv_modes_produce_identical_updates(self):
         states = []
         for kind in ("hv_log", "hv_log_norm"):
-            g, _, _ = self._step(ScalarizationMode(kind))
+            g, _, _ = self._step(kind)
             states.append(get_state(g.params()))
         for name in states[0]:
             assert np.array_equal(states[0][name], states[1][name])
 
     def test_pure_adversarial_linear_mode(self):
         # weights (1,0,0) must reproduce the update of the lone gan loss
-        g1, _, _ = self._step(ScalarizationMode("linear", (1.0, 0.0, 0.0)), seed=41)
+        g1, _, _ = self._step("linear", baseline_weights=(1.0, 0.0, 0.0), seed=41)
 
         g2, d2 = _tiny_nets(41)
         lr_b, hr_b = _batch(41)
@@ -400,8 +407,7 @@ class TestGeneratorStep:
         extractor = FeatureExtractor(1, [42, 3])
         lr_b, hr_b = _batch(42)
         train_step_generator(
-            g, d, lr_b, hr_b, ScalarizationMode("hv_log"), (20.0, 0.1, 10.0),
-            1e-6, Adam(g.params(), 1e-3), extractor, 1, "relativistic",
+            g, d, lr_b, hr_b, _step_config(), Adam(g.params(), 1e-3), extractor
         )
         for name, arr in get_state(d.params()).items():
             assert np.array_equal(arr, before[name])
@@ -409,7 +415,7 @@ class TestGeneratorStep:
     def test_clamp_event_is_counted_and_weight_capped(self):
         # mu_pix below any reachable pixel loss forces a clamp on that entry
         _, _, (losses, _, weights, clamped) = self._step(
-            ScalarizationMode("hv_log"), mu=(20.0, 1e-9, 10.0), seed=43
+            "hv_log", mu=(20.0, 1e-9, 10.0), seed=43
         )
         assert losses[1] > 1e-9
         assert clamped >= 1
@@ -488,9 +494,8 @@ class TestNoDiscardedGradients:
     @staticmethod
     def _g_step(g, d, lr_b, hr_b, seed=60):
         return train_step_generator(
-            g, d, lr_b, hr_b, ScalarizationMode("hv_log"), (20.0, 0.1, 10.0),
-            1e-6, Adam(g.params(), 1e-3), FeatureExtractor(1, [seed, 3]), 1,
-            "relativistic",
+            g, d, lr_b, hr_b, _step_config(), Adam(g.params(), 1e-3),
+            FeatureExtractor(1, [seed, 3]),
         )
 
     def test_pretrain_step(self, calls):
@@ -537,9 +542,7 @@ class TestAdversarialPhase:
         )
         g, d = init_networks(seed, 1, cfg.gen_width, cfg.disc_width)
         extractor = FeatureExtractor(1, [seed, 3], cfg.feature_tap)
-        rows = adversarial_phase(
-            g, d, images, cfg, extractor, np.random.default_rng([seed, 2])
-        )
+        rows = adversarial_phase(g, d, images, cfg, extractor)
         return rows
 
     def test_one_row_per_iteration(self):

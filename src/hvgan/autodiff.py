@@ -109,7 +109,10 @@ class Parameter(Tensor):
 
 
 class Tape:
-    """Records ops on the current thread while active as a context manager."""
+    """Records ops on the current thread while active as a context manager.
+
+    A tape can be entered again after it exits: it keeps the nodes recorded
+    so far, so one ``backward`` covers ops from every span."""
 
     def __init__(self):
         self._nodes: list[Tensor] = []

@@ -162,11 +162,9 @@ def cmd_compare(args) -> int:
     if not config.eval_list:
         raise ValueError("compare requires a nonempty eval_list in the config")
     started = _utc_now()
-    # eval images are checked against the corpus before any training, so the
-    # corpus is read here for its channel count and again in model.pretrain
-    channels = model.load_corpus(config.dataset)[0].channels
-    eval_pairs = _load_eval_pairs(config.eval_list, channels)
-    images, g, d, extractor, pre_rows = model.pretrain(config)
+    images = model.load_corpus(config.dataset)
+    eval_pairs = _load_eval_pairs(config.eval_list, images[0].channels)
+    g, d, extractor, pre_rows = model.pretrain(config, images)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

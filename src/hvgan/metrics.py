@@ -104,20 +104,14 @@ def _avg_pool2(img: np.ndarray) -> np.ndarray:
     return img.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
 
 
-def _conv_same_symmetric(img: np.ndarray, k: np.ndarray) -> np.ndarray:
-    ph, pw = k.shape[0] // 2, k.shape[1] // 2
-    padded = np.pad(img, ((ph, ph), (pw, pw)), mode="symmetric")
-    view = np.lib.stride_tricks.sliding_window_view(padded, k.shape)
-    return np.tensordot(view, k, axes=([2, 3], [0, 1]))
-
-
 def _gmsd_channel(a: np.ndarray, b: np.ndarray) -> float:
-    a = _avg_pool2(a)
-    b = _avg_pool2(b)
+    # symmetric 1-pixel padding keeps the 3x3 Prewitt maps at the pooled size
+    a = np.pad(_avg_pool2(a), 1, mode="symmetric")
+    b = np.pad(_avg_pool2(b), 1, mode="symmetric")
     hx = np.array([[1.0, 0.0, -1.0]] * 3) / 3.0
     hy = hx.T
-    m_a = np.sqrt(_conv_same_symmetric(a, hx) ** 2 + _conv_same_symmetric(a, hy) ** 2)
-    m_b = np.sqrt(_conv_same_symmetric(b, hx) ** 2 + _conv_same_symmetric(b, hy) ** 2)
+    m_a = np.sqrt(_windowed(a, hx) ** 2 + _windowed(a, hy) ** 2)
+    m_b = np.sqrt(_windowed(b, hx) ** 2 + _windowed(b, hy) ** 2)
     sim = (2.0 * m_a * m_b + _GMSD_C) / (m_a * m_a + m_b * m_b + _GMSD_C)
     return float(np.std(sim))
 

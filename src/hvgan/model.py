@@ -1,9 +1,18 @@
 """Small conv generator/discriminator, Adam, and the two-phase training loop.
 
-``pretrain`` is the one setup that ``train`` and ``hvgan compare`` share: it
-loads the corpus, builds G, D and the frozen feature extractor, and pretrains
-G on the pixel loss. Both then run ``adversarial_phase``, ``train`` once and
-``compare`` once per mode from the same pretrained weights.
+``pretrain`` is the one setup that ``train`` and ``hvgan compare`` share: on
+the corpus the caller loaded, it builds G, D and the frozen feature
+extractor, and pretrains G on the pixel loss. Both then run
+``adversarial_phase``, ``train`` once and ``compare`` once per mode from the
+same pretrained weights.
+
+An adversarial iteration runs the generator forward once. ``fake =
+G(lr_batch)`` is recorded on a tape kept for G; the discriminator step trains
+on ``fake.detach()``; the generator step then re-enters that tape, records
+D(fake) with the updated D and the losses onto it, and backpropagates through
+G from there. This is the order of PyTorch's DCGAN example, and it gives the
+same numbers as a second forward would, since G's weights do not change in
+between.
 
 Training is deterministic by construction: every stochastic choice flows from
 ``np.random.default_rng([seed, stream])`` with a fixed stream id per phase
@@ -24,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -296,6 +306,18 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 # configuration
 # ---------------------------------------------------------------------------
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _reals(key: str, value) -> tuple:
+    """A list or tuple of numbers as floats; a ValueError naming ``key``
+    for anything else."""
+    if not (isinstance(value, (list, tuple)) and all(_is_real(v) for v in value)):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything a training run needs; unknown JSON keys are rejected."""
@@ -340,30 +362,42 @@ class TrainConfig:
                 raise ValueError(f"{key} must be an integer >= 1, got {getattr(self, key)!r}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not (self.lr > 0 and math.isfinite(self.lr)):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
-        if not (self.eps > 0 and math.isfinite(self.eps)):
-            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
-        ms = tuple(self.lr_milestones)
-        if any(not isinstance(m, int) or m < 1 for m in ms) or list(ms) != sorted(set(ms)):
+        for key in ("lr", "eps"):
+            v = getattr(self, key)
+            if not (_is_real(v) and v > 0 and math.isfinite(v)):
+                raise ValueError(f"{key} must be finite and > 0, got {v!r}")
+        ms = self.lr_milestones
+        if (
+            not isinstance(ms, (list, tuple))
+            or any(not isinstance(m, int) or m < 1 for m in ms)
+            or list(ms) != sorted(set(ms))
+        ):
             raise ValueError(
-                f"lr_milestones must be strictly increasing positive integers, got {ms}"
+                f"lr_milestones must be strictly increasing positive integers, got {ms!r}"
             )
-        object.__setattr__(self, "lr_milestones", ms)
+        object.__setattr__(self, "lr_milestones", tuple(ms))
         if self.mu is not None:
-            mu = tuple(float(v) for v in self.mu)
+            mu = _reals("mu", self.mu)
             if len(mu) != 3 or any(not (v > 0 and math.isfinite(v)) for v in mu):
                 raise ValueError(
                     f"mu must be 3 finite positive reals (gan, pix, fea), got {self.mu!r}"
                 )
             object.__setattr__(self, "mu", mu)
-        bw = tuple(float(v) for v in self.baseline_weights)
+        bw = _reals("baseline_weights", self.baseline_weights)
         if len(bw) != 3 or any(v < 0 or not math.isfinite(v) for v in bw):
             raise ValueError(
                 f"baseline_weights must be 3 finite nonnegative reals, got "
                 f"{self.baseline_weights!r}"
             )
         object.__setattr__(self, "baseline_weights", bw)
+        for key in ("dataset", "output_dir"):
+            if not isinstance(getattr(self, key), (str, os.PathLike)):
+                raise ValueError(f"{key} must be a path, got {getattr(self, key)!r}")
+        if not (
+            isinstance(self.eval_list, (list, tuple))
+            and all(isinstance(p, (str, os.PathLike)) for p in self.eval_list)
+        ):
+            raise ValueError(f"eval_list must be a list of paths, got {self.eval_list!r}")
         object.__setattr__(self, "eval_list", tuple(str(p) for p in self.eval_list))
 
     @property
@@ -480,14 +514,13 @@ def pretrain_generator(
 
 
 def train_step_discriminator(
-    g: GeneratorNet,
     d: DiscriminatorNet,
-    lr_batch: np.ndarray,
+    fake: ad.Tensor,
     hr_batch: np.ndarray,
     opt: Adam,
 ) -> float:
-    """One Adam step on the discriminator; generator outputs are detached."""
-    fake = g.forward(ad.Tensor(lr_batch))  # no tape active: plain forward
+    """One Adam step on the discriminator; the generator output ``fake`` is
+    detached, so nothing reaches G."""
     with ad.Tape() as tape:
         logits_real = d.forward(ad.Tensor(hr_batch))
         logits_fake = d.forward(fake.detach())
@@ -513,9 +546,9 @@ def _frozen(params: Sequence[ad.Parameter]):
 
 
 def train_step_generator(
-    g: GeneratorNet,
     d: DiscriminatorNet,
-    lr_batch: np.ndarray,
+    tape: ad.Tape,
+    fake: ad.Tensor,
     hr_batch: np.ndarray,
     config: TrainConfig,
     opt: Adam,
@@ -523,12 +556,14 @@ def train_step_generator(
 ) -> tuple[np.ndarray, float, np.ndarray, int]:
     """One generator step under the config's mode, mu, eps, norm_p and
     adversarial variant: returns (loss vector, scalarized value, weights,
-    clamp-event count). The discriminator is frozen for the step (no
-    gradients of its own, see the module docstring) and never updated."""
+    clamp-event count). ``fake`` is G's output, recorded on ``tape``; the
+    step records D(fake) and the losses onto that tape and backpropagates
+    into the parameters ``opt`` updates. The discriminator is frozen for the
+    step (no gradients of its own, see the module docstring) and never
+    updated."""
     mode = config.mode_obj()
     mu, eps, p = config.resolved_mu, config.eps, config.norm_p
-    with _frozen(d.params()), ad.Tape() as tape:
-        fake = g.forward(ad.Tensor(lr_batch))
+    with _frozen(d.params()), tape:
         hr_t = ad.Tensor(hr_batch)
         logits_fake = d.forward(fake)
         if config.adversarial == "relativistic":
@@ -554,7 +589,7 @@ def train_step_generator(
         )
         tape.backward(total)
     opt.step()
-    ad.zero_grads(g.params())
+    ad.zero_grads(opt.params)
     return losses, scalar, weights, clamped
 
 
@@ -566,7 +601,7 @@ def adversarial_phase(
     extractor: FeatureExtractor,
 ) -> list[tuple]:
     """Alternating D/G steps (1:1), one shared batch per iteration, drawn
-    from stream ``[seed, 2]``."""
+    from stream ``[seed, 2]``, and one generator forward per iteration."""
     rng = np.random.default_rng([config.seed, 2])
     opt_g = Adam(g.params(), config.lr)
     opt_d = Adam(d.params(), config.lr)
@@ -578,9 +613,11 @@ def adversarial_phase(
         lr_batch, hr_batch = _draw_batch(
             images, config.batch_size, config.patch_size, rng
         )
-        train_step_discriminator(g, d, lr_batch, hr_batch, opt_d)
+        with ad.Tape() as tape:
+            fake = g.forward(ad.Tensor(lr_batch))
+        train_step_discriminator(d, fake, hr_batch, opt_d)
         losses, scalar, weights, clamped = train_step_generator(
-            g, d, lr_batch, hr_batch, config, opt_g, extractor
+            d, tape, fake, hr_batch, config, opt_g, extractor
         )
         rows.append((t, *losses, scalar, *weights, clamped, step_lr))
     return rows
@@ -607,11 +644,10 @@ def write_pretrain_csv(path, rows: Sequence[tuple]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def pretrain(config: TrainConfig):
-    """Everything before the adversarial phase: load the corpus, build G, D
-    and the feature extractor, and pretrain G on stream ``[seed, 1]``.
-    Returns (images, g, d, extractor, pretrain rows)."""
-    images = load_corpus(config.dataset)
+def pretrain(config: TrainConfig, images: Sequence[ImageBuffer]):
+    """Everything before the adversarial phase on the loaded corpus: build
+    G, D and the feature extractor, and pretrain G on stream ``[seed, 1]``.
+    Returns (g, d, extractor, pretrain rows)."""
     channels = images[0].channels
     g, d = init_networks(config.seed, channels, config.gen_width, config.disc_width)
     extractor = FeatureExtractor(channels, [config.seed, 3], config.feature_tap)
@@ -625,13 +661,14 @@ def pretrain(config: TrainConfig):
         np.random.default_rng([config.seed, 1]),
         config.norm_p,
     )
-    return images, g, d, extractor, pre_rows
+    return g, d, extractor, pre_rows
 
 
 def train(config: TrainConfig) -> TrainResult:
     """Pretrain, then alternate D/G steps; write history, pretrain log, and
     checkpoint under the configured output directory."""
-    images, g, d, extractor, pre_rows = pretrain(config)
+    images = load_corpus(config.dataset)
+    g, d, extractor, pre_rows = pretrain(config, images)
     adv_rows = adversarial_phase(g, d, images, config, extractor)
 
     out = Path(config.output_dir)

@@ -63,6 +63,22 @@ class TestTapeMechanics:
             t1.__exit__(None, None, None)
         t1.__exit__(None, None, None)
 
+    def test_reentered_tape_keeps_its_nodes(self):
+        x = Parameter(np.array(3.0), name="x")
+        tape = Tape()
+        with tape:
+            y = ad.mul(x, x)
+        assert len(tape) == 1
+        with Tape() as other:
+            ad.scalar_mul(y, 5.0)
+        assert len(tape) == 1 and len(other) == 1
+        with tape:
+            loss = ad.scalar_mul(y, 2.0)
+        assert len(tape) == 2
+        tape.backward(loss)
+        # d(2 x^2)/dx = 4x, through the op of each span
+        assert x.grad == 12.0
+
     def test_reuse_of_a_node_accumulates(self):
         # y = x * x differentiates to 2x even though both factors are the
         # same tensor object.

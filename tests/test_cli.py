@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from hvgan import cli, data_io, model
 from hvgan.data_io import ImageBuffer, save_image
 from hvgan.model import init_networks, load_checkpoint
 from hvgan.synth import write_corpus
@@ -227,6 +228,15 @@ class TestTrain:
         assert proc.returncode == 1
         assert "foo" in proc.stderr
 
+    def test_wrongly_typed_value_is_validation_error(self, tmp_path):
+        cfg_path, cfg = _train_config(tmp_path, "typed")
+        cfg["lr"] = "0.1"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_cli("train", "--config", str(cfg_path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: lr ")
+        assert "Traceback" not in proc.stderr
+
     def test_missing_dataset_is_io_error(self, tmp_path):
         cfg_path, cfg = _train_config(tmp_path, "nods")
         cfg["dataset"] = str(tmp_path / "absent")
@@ -319,6 +329,22 @@ class TestCompare:
         assert proc.returncode == 1
         assert "rgb.ppm" in proc.stderr
         assert not (tmp_path / "rgb" / "pretrained.hvgn").exists()
+
+    def test_every_image_is_read_once(self, tmp_path, monkeypatch):
+        reads = []
+
+        def counted(path):
+            reads.append(os.path.basename(path))
+            return data_io.load_image(path)
+
+        monkeypatch.setattr(model, "load_image", counted)
+        monkeypatch.setattr(cli, "load_image", counted)
+        eval_img = tmp_path / "eval.pgm"
+        _write_pgm(eval_img, np.full((16, 16), 128))
+        cfg_path, _ = _train_config(tmp_path, "once", eval_list=[str(eval_img)])
+        assert cli.main(["compare", "--config", str(cfg_path)]) == 0
+        corpus = sorted(os.listdir(tmp_path / "corpus"))
+        assert sorted(reads) == sorted(corpus + ["eval.pgm"])
 
     @pytest.mark.parametrize("mode", ["linear", "hv_log", "hv_log_norm"])
     def test_train_writes_the_same_logs_as_compare(self, compare_run, tmp_path, mode):

@@ -50,6 +50,13 @@ def _batch(seed=0, n=2, ps=8):
     return model._draw_batch(imgs, n, ps, rng)
 
 
+def _taped_fake(g, lr_b):
+    """G's output on a tape of its own, as adversarial_phase makes it."""
+    with ad.Tape() as tape:
+        fake = g.forward(ad.Tensor(lr_b))
+    return tape, fake
+
+
 def _step_config(mode="hv_log", mu=(20.0, 0.1, 10.0), eps=1e-6, **over):
     """What train_step_generator reads: mode, mu, eps, norm_p 1, relativistic."""
     return TrainConfig(
@@ -288,10 +295,21 @@ class TestTrainConfig:
         {"mu": (1.0, 2.0, -3.0)},
         {"feature_tap": "mid"},
         {"baseline_weights": (1.0, -1.0, 0.0)},
+        # wrongly typed values, as a JSON config can carry them
+        {"lr": "0.1"},
+        {"eps": None},
+        {"lr_milestones": 5},
+        {"mu": 5},
+        {"mu": ("a", 1.0, 2.0)},
+        {"baseline_weights": None},
+        {"eval_list": 5},
+        {"dataset": 5},
+        {"output_dir": None},
     ])
     def test_invalid_fields_rejected(self, bad):
-        with pytest.raises(ValueError):
-            TrainConfig(dataset="d", output_dir="o", **bad)
+        (key,) = bad
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{"dataset": "d", "output_dir": "o", **bad})
 
 
 class TestPretrain:
@@ -335,14 +353,18 @@ class TestDiscriminatorStep:
         g, d = _tiny_nets(30)
         lr_b, hr_b = _batch(30)
         opt = Adam(d.params(), 1e-4)
-        loss = train_step_discriminator(g, d, lr_b, hr_b, opt)
+        _, fake = _taped_fake(g, lr_b)
+        loss = train_step_discriminator(d, fake, hr_b, opt)
         assert math.isfinite(loss) and loss >= 0.0
 
     def test_generator_is_frozen(self):
         g, d = _tiny_nets(31)
         before = get_state(g.params())
         lr_b, hr_b = _batch(31)
-        train_step_discriminator(g, d, lr_b, hr_b, Adam(d.params(), 1e-3))
+        _, fake = _taped_fake(g, lr_b)
+        train_step_discriminator(d, fake, hr_b, Adam(d.params(), 1e-3))
+        assert fake.grad is None
+        assert all(p.grad is None for p in g.params())
         for name, arr in get_state(g.params()).items():
             assert np.array_equal(arr, before[name])
 
@@ -351,7 +373,8 @@ class TestDiscriminatorStep:
         results = []
         for _ in range(2):
             g, d = _tiny_nets(32)
-            train_step_discriminator(g, d, lr_b, hr_b, Adam(d.params(), 1e-3))
+            _, fake = _taped_fake(g, lr_b)
+            train_step_discriminator(d, fake, hr_b, Adam(d.params(), 1e-3))
             results.append(get_state(d.params()))
         for name in results[0]:
             assert np.array_equal(results[0][name], results[1][name])
@@ -365,7 +388,8 @@ class TestGeneratorStep:
         lr_b, hr_b = _batch(seed)
         opt = Adam(g.params(), 1e-3)
         cfg = _step_config(mode, **over)
-        out = train_step_generator(g, d, lr_b, hr_b, cfg, opt, extractor)
+        tape, fake = _taped_fake(g, lr_b)
+        out = train_step_generator(d, tape, fake, hr_b, cfg, opt, extractor)
         return g, d, out
 
     def test_returned_weights_match_reciprocal_gaps(self):
@@ -406,8 +430,9 @@ class TestGeneratorStep:
         before = get_state(d.params())
         extractor = FeatureExtractor(1, [42, 3])
         lr_b, hr_b = _batch(42)
+        tape, fake = _taped_fake(g, lr_b)
         train_step_generator(
-            g, d, lr_b, hr_b, _step_config(), Adam(g.params(), 1e-3), extractor
+            d, tape, fake, hr_b, _step_config(), Adam(g.params(), 1e-3), extractor
         )
         for name, arr in get_state(d.params()).items():
             assert np.array_equal(arr, before[name])
@@ -493,8 +518,9 @@ class TestNoDiscardedGradients:
 
     @staticmethod
     def _g_step(g, d, lr_b, hr_b, seed=60):
+        tape, fake = _taped_fake(g, lr_b)
         return train_step_generator(
-            g, d, lr_b, hr_b, _step_config(), Adam(g.params(), 1e-3),
+            d, tape, fake, hr_b, _step_config(), Adam(g.params(), 1e-3),
             FeatureExtractor(1, [seed, 3]),
         )
 
@@ -507,7 +533,8 @@ class TestNoDiscardedGradients:
     def test_discriminator_step(self, calls):
         g, d = _tiny_nets(61)
         lr_b, hr_b = _batch(61)
-        train_step_discriminator(g, d, lr_b, hr_b, Adam(d.params(), 1e-3))
+        _, fake = _taped_fake(g, lr_b)
+        train_step_discriminator(d, fake, hr_b, Adam(d.params(), 1e-3))
         # D's 2 weights on the real and the detached fake branch; only conv2's
         # input (an activation of conv1) needs a gradient on each branch
         assert calls == {"grad_weight": 4, "grad_input": 2}
@@ -544,6 +571,18 @@ class TestAdversarialPhase:
         extractor = FeatureExtractor(1, [seed, 3], cfg.feature_tap)
         rows = adversarial_phase(g, d, images, cfg, extractor)
         return rows
+
+    def test_one_generator_forward_per_iteration(self, monkeypatch):
+        calls = []
+        forward = model.GeneratorNet.forward
+
+        def counted(g, x):
+            calls.append(x.shape)
+            return forward(g, x)
+
+        monkeypatch.setattr(model.GeneratorNet, "forward", counted)
+        self._run(iters=3)
+        assert len(calls) == 3
 
     def test_one_row_per_iteration(self):
         rows = self._run(iters=5)

@@ -31,6 +31,8 @@ _ORIENTATIONS = {"min": Orientation.MINIMIZE, "max": Orientation.MAXIMIZE}
 
 COMPARE_MODES = ("linear", "hv_log", "hv_log_norm")
 
+PRETRAIN_HEADER = "iter,l_pix"
+HISTORY_HEADER = "iter,l_gan,l_pix,l_fea,scalar,w_gan,w_pix,w_fea,clamped,lr"
 RESULTS_HEADER = "mode,psnr,ssim,gmsd,clamp_events"
 
 
@@ -53,6 +55,19 @@ def _read_config(path) -> tuple[model.TrainConfig, str]:
     """The parsed config and its raw text, which the manifest keeps verbatim."""
     raw_text = Path(path).read_text(encoding="utf-8")
     return model.TrainConfig.from_dict(json.loads(raw_text)), raw_text
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """``header``, then one line per row. Integers (Python or numpy) and
+    strings print through ``str``, every other value as ``repr(float(v))``,
+    the shortest text that reads back to the same double."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(
+            str(v) if isinstance(v, (int, np.integer, str)) else repr(float(v))
+            for v in row
+        ))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_manifest(
@@ -121,12 +136,21 @@ def cmd_eval(args) -> int:
 def cmd_train(args) -> int:
     config, raw_text = _read_config(args.config)
     started = _utc_now()
-    result = model.train(config)
-    outputs = [result.pretrain_path, result.history_path, result.checkpoint_path]
-    _write_manifest(
-        Path(config.output_dir), config, raw_text, started, {"outputs": outputs}
-    )
-    print(f"wrote {result.history_path}")
+    images = model.load_corpus(config.dataset)
+    g, d, extractor, pre_rows = model.pretrain(config, images)
+    history = model.adversarial_phase(g, d, images, config, extractor)
+
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    pretrain_path = out / "pretrain.csv"
+    history_path = out / "history.csv"
+    checkpoint_path = out / "checkpoint.hvgn"
+    _write_csv(pretrain_path, PRETRAIN_HEADER, pre_rows)
+    _write_csv(history_path, HISTORY_HEADER, history)
+    model.save_checkpoint(checkpoint_path, g.params() + d.params())
+    outputs = [str(pretrain_path), str(history_path), str(checkpoint_path)]
+    _write_manifest(out, config, raw_text, started, {"outputs": outputs})
+    print(f"wrote {history_path}")
     return 0
 
 
@@ -173,7 +197,7 @@ def cmd_compare(args) -> int:
     model.save_checkpoint(shared_ckpt, params)
     ckpt_sha = hashlib.sha256(shared_ckpt.read_bytes()).hexdigest()
     print(f"pretrained checkpoint sha256 {ckpt_sha}")
-    model.write_pretrain_csv(out / "pretrain.csv", pre_rows)
+    _write_csv(out / "pretrain.csv", PRETRAIN_HEADER, pre_rows)
     pretrained = model.get_state(params)
 
     outputs = [str(shared_ckpt), str(out / "pretrain.csv")]
@@ -186,16 +210,13 @@ def cmd_compare(args) -> int:
         )
         history_path = out / mode_name / "history.csv"
         history_path.parent.mkdir(exist_ok=True)
-        model.write_history_csv(history_path, history)
+        _write_csv(history_path, HISTORY_HEADER, history)
         outputs.append(str(history_path))
         clamp_events = sum(int(r[8]) for r in history)
         rows.append((mode_name, *_evaluate_generator(g, eval_pairs), clamp_events))
 
     results_path = out / "results.csv"
-    lines = [RESULTS_HEADER]
-    for (mode_name, p_, s_, g_, c_) in rows:
-        lines.append(f"{mode_name},{repr(p_)},{repr(s_)},{repr(g_)},{c_}")
-    results_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(results_path, RESULTS_HEADER, rows)
     outputs.append(str(results_path))
 
     _write_manifest(

@@ -1,10 +1,13 @@
-"""Small conv generator/discriminator, Adam, and the two-phase training loop.
+"""Small conv generator/discriminator, Adam, checkpoints, and the two phases
+of training.
 
-``pretrain`` is the one setup that ``train`` and ``hvgan compare`` share: on
-the corpus the caller loaded, it builds G, D and the frozen feature
+``pretrain`` is the one setup that ``hvgan train`` and ``hvgan compare``
+share: on the corpus the caller loaded, it builds G, D and the frozen feature
 extractor, and pretrains G on the pixel loss. Both then run
 ``adversarial_phase``, ``train`` once and ``compare`` once per mode from the
-same pretrained weights.
+same pretrained weights. This module computes and returns rows; ``cli``
+writes every run artifact, calling ``save_checkpoint`` for the checkpoint
+format kept here.
 
 An adversarial iteration runs the generator forward once. ``fake =
 G(lr_batch)`` is recorded on a tape kept for G; the discriminator step trains
@@ -31,10 +34,9 @@ and skips the D(real) branch, which cannot reach G.
 
 from __future__ import annotations
 
-import json
-import math
 import os
 import struct
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -66,7 +68,6 @@ __all__ = [
     "DiscriminatorNet",
     "Adam",
     "TrainConfig",
-    "TrainResult",
     "init_networks",
     "apply_generator",
     "pretrain_generator",
@@ -74,23 +75,16 @@ __all__ = [
     "train_step_generator",
     "adversarial_phase",
     "pretrain",
-    "train",
     "load_corpus",
     "lr_at",
     "get_state",
     "set_state",
     "save_checkpoint",
     "load_checkpoint",
-    "write_history_csv",
-    "write_pretrain_csv",
-    "HISTORY_HEADER",
-    "PRETRAIN_HEADER",
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
 ]
 
-HISTORY_HEADER = "iter,l_gan,l_pix,l_fea,scalar,w_gan,w_pix,w_fea,clamped,lr"
-PRETRAIN_HEADER = "iter,l_pix"
 CHECKPOINT_MAGIC = b"HVGN"
 CHECKPOINT_VERSION = 1
 
@@ -306,15 +300,26 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 # configuration
 # ---------------------------------------------------------------------------
 
+def _is_int(v) -> bool:
+    """An integer that is not a bool (JSON ``true`` parses as one)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A number in float range: no bool, NaN, infinity, or integer too large
+    to convert (the comparison with an int is exact and cannot overflow)."""
+    return (
+        isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max
+    )
 
 
 def _reals(key: str, value) -> tuple:
-    """A list or tuple of numbers as floats; a ValueError naming ``key``
-    for anything else."""
+    """A list or tuple of finite numbers as floats; a ValueError naming
+    ``key`` for anything else."""
     if not (isinstance(value, (list, tuple)) and all(_is_real(v) for v in value)):
-        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+        raise ValueError(f"{key} must be a list of finite numbers, got {value!r}")
     return tuple(float(v) for v in value)
 
 
@@ -350,26 +355,26 @@ class TrainConfig:
                 f"adversarial must be one of {ADVERSARIAL_KINDS}, got "
                 f"{self.adversarial!r}"
             )
-        if self.norm_p not in (1, 2):
+        if not (_is_int(self.norm_p) and self.norm_p in (1, 2)):
             raise ValueError(f"norm_p must be 1 or 2, got {self.norm_p!r}")
         if self.feature_tap not in ("pre", "post"):
             raise ValueError(f"feature_tap must be 'pre' or 'post', got {self.feature_tap!r}")
         for key in ("pretrain_iters", "adversarial_iters"):
-            if not (isinstance(getattr(self, key), int) and getattr(self, key) >= 0):
+            if not (_is_int(getattr(self, key)) and getattr(self, key) >= 0):
                 raise ValueError(f"{key} must be an integer >= 0, got {getattr(self, key)!r}")
         for key in ("batch_size", "patch_size", "gen_width", "disc_width"):
-            if not (isinstance(getattr(self, key), int) and getattr(self, key) >= 1):
+            if not (_is_int(getattr(self, key)) and getattr(self, key) >= 1):
                 raise ValueError(f"{key} must be an integer >= 1, got {getattr(self, key)!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         for key in ("lr", "eps"):
             v = getattr(self, key)
-            if not (_is_real(v) and v > 0 and math.isfinite(v)):
+            if not (_is_real(v) and v > 0):
                 raise ValueError(f"{key} must be finite and > 0, got {v!r}")
         ms = self.lr_milestones
         if (
             not isinstance(ms, (list, tuple))
-            or any(not isinstance(m, int) or m < 1 for m in ms)
+            or any(not _is_int(m) or m < 1 for m in ms)
             or list(ms) != sorted(set(ms))
         ):
             raise ValueError(
@@ -378,13 +383,13 @@ class TrainConfig:
         object.__setattr__(self, "lr_milestones", tuple(ms))
         if self.mu is not None:
             mu = _reals("mu", self.mu)
-            if len(mu) != 3 or any(not (v > 0 and math.isfinite(v)) for v in mu):
+            if len(mu) != 3 or any(v <= 0 for v in mu):
                 raise ValueError(
                     f"mu must be 3 finite positive reals (gan, pix, fea), got {self.mu!r}"
                 )
             object.__setattr__(self, "mu", mu)
         bw = _reals("baseline_weights", self.baseline_weights)
-        if len(bw) != 3 or any(v < 0 or not math.isfinite(v) for v in bw):
+        if len(bw) != 3 or any(v < 0 for v in bw):
             raise ValueError(
                 f"baseline_weights must be 3 finite nonnegative reals, got "
                 f"{self.baseline_weights!r}"
@@ -420,33 +425,12 @@ class TrainConfig:
         missing = [k for k in ("dataset", "output_dir") if k not in raw]
         if missing:
             raise ValueError(f"missing required config key(s): {', '.join(missing)}")
-        coerced = dict(raw)
-        for key in ("mu", "lr_milestones", "baseline_weights", "eval_list"):
-            if key in coerced and isinstance(coerced[key], list):
-                coerced[key] = tuple(coerced[key])
-        return cls(**coerced)
-
-    @classmethod
-    def from_json(cls, path) -> "TrainConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls(**raw)
 
 
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TrainResult:
-    config: TrainConfig
-    pretrain_rows: list
-    history_rows: list
-    clamp_total: int
-    generator: GeneratorNet
-    discriminator: DiscriminatorNet
-    pretrain_path: str | None = None
-    history_path: str | None = None
-    checkpoint_path: str | None = None
-
 
 def load_corpus(dataset) -> list[ImageBuffer]:
     """Load every PGM/PPM under a directory (sorted), or a single image file."""
@@ -623,27 +607,6 @@ def adversarial_phase(
     return rows
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
-def write_history_csv(path, rows: Sequence[tuple]) -> None:
-    lines = [HISTORY_HEADER]
-    for (t, lg, lp, lf, s, wg, wp, wf, clamped, step_lr) in rows:
-        lines.append(
-            f"{t},{_fmt(lg)},{_fmt(lp)},{_fmt(lf)},{_fmt(s)},"
-            f"{_fmt(wg)},{_fmt(wp)},{_fmt(wf)},{int(clamped)},{_fmt(step_lr)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_pretrain_csv(path, rows: Sequence[tuple]) -> None:
-    lines = [PRETRAIN_HEADER]
-    for (t, lp) in rows:
-        lines.append(f"{t},{_fmt(lp)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def pretrain(config: TrainConfig, images: Sequence[ImageBuffer]):
     """Everything before the adversarial phase on the loaded corpus: build
     G, D and the feature extractor, and pretrain G on stream ``[seed, 1]``.
@@ -662,32 +625,3 @@ def pretrain(config: TrainConfig, images: Sequence[ImageBuffer]):
         config.norm_p,
     )
     return g, d, extractor, pre_rows
-
-
-def train(config: TrainConfig) -> TrainResult:
-    """Pretrain, then alternate D/G steps; write history, pretrain log, and
-    checkpoint under the configured output directory."""
-    images = load_corpus(config.dataset)
-    g, d, extractor, pre_rows = pretrain(config, images)
-    adv_rows = adversarial_phase(g, d, images, config, extractor)
-
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    pretrain_path = out / "pretrain.csv"
-    history_path = out / "history.csv"
-    checkpoint_path = out / "checkpoint.hvgn"
-    write_pretrain_csv(pretrain_path, pre_rows)
-    write_history_csv(history_path, adv_rows)
-    save_checkpoint(checkpoint_path, g.params() + d.params())
-
-    return TrainResult(
-        config=config,
-        pretrain_rows=pre_rows,
-        history_rows=adv_rows,
-        clamp_total=sum(int(r[8]) for r in adv_rows),
-        generator=g,
-        discriminator=d,
-        pretrain_path=str(pretrain_path),
-        history_path=str(history_path),
-        checkpoint_path=str(checkpoint_path),
-    )

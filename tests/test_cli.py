@@ -216,9 +216,31 @@ class TestTrain:
         p2, _ = _train_config(tmp_path, "r2")
         assert run_cli("train", "--config", str(p1)).returncode == 0
         assert run_cli("train", "--config", str(p2)).returncode == 0
-        h1 = (tmp_path / "r1" / "history.csv").read_bytes()
-        h2 = (tmp_path / "r2" / "history.csv").read_bytes()
-        assert h1 == h2
+        for name in ("pretrain.csv", "history.csv", "checkpoint.hvgn"):
+            a = (tmp_path / "r1" / name).read_bytes()
+            b = (tmp_path / "r2" / name).read_bytes()
+            assert a == b, name
+
+    def test_writes_one_row_per_iteration(self, tmp_path):
+        cfg_path, _ = _train_config(
+            tmp_path, "rows", pretrain_iters=3, adversarial_iters=4
+        )
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "rows"
+        assert len((out / "pretrain.csv").read_text().splitlines()) == 1 + 3
+        assert len((out / "history.csv").read_text().splitlines()) == 1 + 4
+
+    def test_checkpoint_holds_the_trained_weights(self, tmp_path):
+        cfg_path, _ = _train_config(tmp_path, "ck", adversarial_iters=3)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        config, _ = cli._read_config(cfg_path)
+        images = model.load_corpus(config.dataset)
+        g, d, extractor, _ = model.pretrain(config, images)
+        model.adversarial_phase(g, d, images, config, extractor)
+        state = load_checkpoint(tmp_path / "ck" / "checkpoint.hvgn")
+        assert list(state) == [p.name for p in g.params() + d.params()]
+        for p in g.params() + d.params():
+            assert np.array_equal(state[p.name], p.data), p.name
 
     def test_unknown_config_key_named(self, tmp_path):
         cfg_path, cfg = _train_config(tmp_path, "bad")
@@ -231,6 +253,15 @@ class TestTrain:
     def test_wrongly_typed_value_is_validation_error(self, tmp_path):
         cfg_path, cfg = _train_config(tmp_path, "typed")
         cfg["lr"] = "0.1"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = run_cli("train", "--config", str(cfg_path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: lr ")
+        assert "Traceback" not in proc.stderr
+
+    def test_out_of_float_range_value_is_validation_error(self, tmp_path):
+        cfg_path, cfg = _train_config(tmp_path, "huge")
+        cfg["lr"] = 10**400
         cfg_path.write_text(json.dumps(cfg))
         proc = run_cli("train", "--config", str(cfg_path))
         assert proc.returncode == 1

@@ -26,7 +26,6 @@ from hvgan.model import (
     pretrain_generator,
     save_checkpoint,
     set_state,
-    train,
     train_step_discriminator,
     train_step_generator,
 )
@@ -276,11 +275,6 @@ class TestTrainConfig:
         assert cfg.mu == (1.0, 2.0, 3.0)
         assert cfg.lr_milestones == (10, 20)
 
-    def test_from_json(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text('{"dataset": "d", "output_dir": "o", "seed": 3}')
-        assert TrainConfig.from_json(path).seed == 3
-
     @pytest.mark.parametrize("bad", [
         {"mode": "geometric"},
         {"adversarial": "wasserstein"},
@@ -305,6 +299,15 @@ class TestTrainConfig:
         {"eval_list": 5},
         {"dataset": 5},
         {"output_dir": None},
+        # JSON true/false are not integers
+        {"batch_size": True},
+        {"seed": False},
+        {"norm_p": True},
+        {"lr_milestones": (True,)},
+        # JSON integers beyond float range
+        {"lr": 10**400},
+        {"mu": (10**400, 1.0, 1.0)},
+        {"baseline_weights": (10**400, 0, 0)},
     ])
     def test_invalid_fields_rejected(self, bad):
         (key,) = bad
@@ -612,58 +615,28 @@ class TestAdversarialPhase:
 
 class TestTrainEndToEnd:
     @staticmethod
-    def _config(tmp_path, sub="run", **over):
+    def _run(tmp_path, sub):
         corpus_dir = tmp_path / "corpus"
         if not corpus_dir.exists():
             write_corpus(corpus_dir, seed=0, count=2, size=24)
-        base = dict(
+        cfg = TrainConfig(
             dataset=str(corpus_dir), output_dir=str(tmp_path / sub), seed=0,
             pretrain_iters=3, adversarial_iters=4, batch_size=2, patch_size=8,
             lr=1e-3, lr_milestones=(3,), gen_width=4, disc_width=4,
         )
-        base.update(over)
-        return TrainConfig(**base)
-
-    def test_writes_all_artifacts(self, tmp_path):
-        result = train(self._config(tmp_path))
-        assert (tmp_path / "run" / "pretrain.csv").exists()
-        assert (tmp_path / "run" / "history.csv").exists()
-        assert (tmp_path / "run" / "checkpoint.hvgn").exists()
-        assert len(result.pretrain_rows) == 3
-        assert len(result.history_rows) == 4
-
-    def test_history_file_shape(self, tmp_path):
-        result = train(self._config(tmp_path, sub="shape"))
-        lines = open(result.history_path).read().splitlines()
-        assert lines[0] == model.HISTORY_HEADER
-        assert len(lines) == 5
-        for line in lines[1:]:
-            fields = line.split(",")
-            assert len(fields) == 10
-            float(fields[4])  # scalar column parses
+        images = load_corpus(cfg.dataset)
+        g, d, extractor, pre_rows = model.pretrain(cfg, images)
+        history = adversarial_phase(g, d, images, cfg, extractor)
+        ckpt = tmp_path / f"{sub}.hvgn"
+        save_checkpoint(ckpt, g.params() + d.params())
+        return pre_rows, history, ckpt.read_bytes()
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
-        r1 = train(self._config(tmp_path, sub="a"))
-        r2 = train(self._config(tmp_path, sub="b"))
-        assert open(r1.history_path).read() == open(r2.history_path).read()
-        assert open(r1.pretrain_path).read() == open(r2.pretrain_path).read()
-        ck1 = open(r1.checkpoint_path, "rb").read()
-        ck2 = open(r2.checkpoint_path, "rb").read()
-        assert ck1 == ck2
-
-    def test_checkpoint_restores_generator_behavior(self, tmp_path):
-        result = train(self._config(tmp_path, sub="ck"))
-        state = load_checkpoint(result.checkpoint_path)
-        g, _ = init_networks(99, 1, 4, 4)
-        set_state(g.params(), {n: state[n] for n in (p.name for p in g.params())})
-        probe = ImageBuffer(np.random.default_rng(5).uniform(size=(1, 8, 8)))
-        a = apply_generator(result.generator, probe)
-        b = apply_generator(g, probe)
-        assert np.array_equal(a.data, b.data)
-
-    def test_clamp_total_matches_rows(self, tmp_path):
-        result = train(self._config(tmp_path, sub="cl"))
-        assert result.clamp_total == sum(int(r[8]) for r in result.history_rows)
+        pre_a, hist_a, ck_a = self._run(tmp_path, "a")
+        pre_b, hist_b, ck_b = self._run(tmp_path, "b")
+        assert pre_a == pre_b
+        assert hist_a == hist_b
+        assert ck_a == ck_b
 
 
 class TestLoadCorpus:

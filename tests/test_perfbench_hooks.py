@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` patches hvgan functions where their callers look them
 up and reads step arguments by name (``g``, ``opt``). A rename or a signature
 change there would not fail any other test; it would only break
-``perfbench/run.py --trace 1``. This test traces one tiny ``compare`` run and
-checks the step counts and the useful-gradient fractions the tracer reports.
+``perfbench/run.py --trace 1``. These tests trace one tiny ``compare`` run
+and one tiny ``train`` run (the path of the ``pretrain`` workload) and check
+the step counts and the useful-gradient fractions the tracer reports.
 """
 
 import json
@@ -65,3 +66,39 @@ def test_traced_compare_counts_every_step_and_wastes_no_gradient(tmp_path):
     assert metrics["model.train_step_discriminator.n"] == steps
     assert metrics["autodiff.grad_weight_useful_frac"] == 1.0
     assert metrics["autodiff.grad_input_useful_frac"] == 1.0
+
+
+def test_traced_train_counts_every_step_and_saves_through_model(tmp_path):
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, seed=0, count=2, size=24)
+    cfg = {
+        "dataset": str(corpus), "output_dir": str(tmp_path / "out"), "seed": 0,
+        "pretrain_iters": 2, "adversarial_iters": ADVERSARIAL_ITERS,
+        "batch_size": 2, "patch_size": 8, "lr": 1e-3, "lr_milestones": [2],
+        "gen_width": 4, "disc_width": 4,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+
+    tracer = _tracer_module().Tracer({
+        "cli": cli, "model": model, "kernels": kernels,
+        "autodiff": autodiff, "losses": losses,
+    })
+    tracer.install()
+    try:
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    finally:
+        tracer.uninstall()
+    tracer.end_rep(0.0)
+    metrics = tracer.metrics(0.0)
+
+    # G's four convs need weight gradients, and every conv but the first
+    # passes one back to its input
+    assert metrics["autodiff.pretrain_step.grad_weight_calls"] == 4
+    assert metrics["autodiff.pretrain_step.grad_input_calls"] == 3
+    assert metrics["model.train_step_generator.n"] == ADVERSARIAL_ITERS
+    assert metrics["autodiff.grad_weight_useful_frac"] == 1.0
+    assert metrics["autodiff.grad_input_useful_frac"] == 1.0
+    # the checkpoint is written through model.save_checkpoint, where the
+    # tracer looks it up
+    assert metrics["model.checkpoint.self_ms"] > 0

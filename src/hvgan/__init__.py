@@ -23,7 +23,6 @@ from .moo import (
     Orientation,
     ObjectiveVector,
     PointSet,
-    ReferencePoint,
     dominates,
     pareto_filter,
     hypervolume_exact,
@@ -42,7 +41,6 @@ __all__ = [
     "Orientation",
     "ObjectiveVector",
     "PointSet",
-    "ReferencePoint",
     "dominates",
     "pareto_filter",
     "hypervolume_exact",

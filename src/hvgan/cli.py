@@ -137,11 +137,11 @@ def cmd_train(args) -> int:
     config, raw_text = _read_config(args.config)
     started = _utc_now()
     images = model.load_corpus(config.dataset)
-    g, d, extractor, pre_rows = model.pretrain(config, images)
-    history = model.adversarial_phase(g, d, images, config, extractor)
-
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    g, d, pre_rows = model.pretrain(config, images)
+    history = model.adversarial_phase(g, d, images, config)
+
     pretrain_path = out / "pretrain.csv"
     history_path = out / "history.csv"
     checkpoint_path = out / "checkpoint.hvgn"
@@ -188,10 +188,10 @@ def cmd_compare(args) -> int:
     started = _utc_now()
     images = model.load_corpus(config.dataset)
     eval_pairs = _load_eval_pairs(config.eval_list, images[0].channels)
-    g, d, extractor, pre_rows = model.pretrain(config, images)
-
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    g, d, pre_rows = model.pretrain(config, images)
+
     params = g.params() + d.params()
     shared_ckpt = out / "pretrained.hvgn"
     model.save_checkpoint(shared_ckpt, params)
@@ -206,7 +206,7 @@ def cmd_compare(args) -> int:
         # every mode starts from the pretrained weights
         model.set_state(params, pretrained)
         history = model.adversarial_phase(
-            g, d, images, dataclasses.replace(config, mode=mode_name), extractor
+            g, d, images, dataclasses.replace(config, mode=mode_name)
         )
         history_path = out / mode_name / "history.csv"
         history_path.parent.mkdir(exist_ok=True)

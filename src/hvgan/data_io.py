@@ -33,12 +33,14 @@ _BICUBIC_A = -0.5
 
 @dataclass(frozen=True)
 class ImageBuffer:
-    """Planar (C,H,W) double-precision image with all values in [0,1]."""
+    """Planar (C,H,W) double-precision image with all values in [0,1]. The
+    buffer keeps a read-only copy of the pixels it is given, so the caller's
+    array stays writable and later writes to it do not reach the buffer."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
+        arr = np.array(self.data, dtype=np.float64, order="C")
         if arr.ndim == 2:
             arr = arr[None, :, :]
         if arr.ndim != 3 or arr.shape[0] not in (1, 3):
@@ -76,7 +78,6 @@ class PatchPair:
 
     lr: ImageBuffer
     hr: ImageBuffer
-    source_id: int
     top_left: tuple
 
     def __post_init__(self):
@@ -218,7 +219,7 @@ def nearest_upscale(img: ImageBuffer, factor: int = 4) -> ImageBuffer:
 # ---------------------------------------------------------------------------
 
 def random_patch_pair(
-    img: ImageBuffer, patch_size: int, rng: np.random.Generator, source_id: int = 0
+    img: ImageBuffer, patch_size: int, rng: np.random.Generator
 ) -> PatchPair:
     """One random HR crop plus its bicubic x4 downscale (rng-stream driven)."""
     ps = int(patch_size)
@@ -231,7 +232,7 @@ def random_patch_pair(
     top = int(rng.integers(0, img.height - ps + 1))
     left = int(rng.integers(0, img.width - ps + 1))
     hr = ImageBuffer(img.data[:, top : top + ps, left : left + ps])
-    return PatchPair(bicubic_downscale(hr, 4), hr, source_id, (top, left))
+    return PatchPair(bicubic_downscale(hr, 4), hr, (top, left))
 
 
 def extract_patches(
@@ -260,10 +261,9 @@ def augment_with_rng(pair: PatchPair, rng: np.random.Generator) -> PatchPair:
         data = buf.data
         if flip:
             data = data[:, :, ::-1]
-        data = np.rot90(data, k, axes=(1, 2))
-        return ImageBuffer(np.ascontiguousarray(data))
+        return ImageBuffer(np.rot90(data, k, axes=(1, 2)))
 
-    return PatchPair(apply(pair.lr), apply(pair.hr), pair.source_id, pair.top_left)
+    return PatchPair(apply(pair.lr), apply(pair.hr), pair.top_left)
 
 
 def augment(pair: PatchPair, seed) -> PatchPair:

@@ -8,24 +8,13 @@ construction implies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["MetricReport", "psnr", "ssim", "gmsd"]
+__all__ = ["psnr", "ssim", "gmsd"]
 
 _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _GMSD_C = 170.0 / (255.0 * 255.0)
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """One evaluation row: psnr may be +inf when the images are identical."""
-
-    psnr: float
-    ssim: float
-    gmsd: float
 
 
 def _as_planar(a: np.ndarray, what: str) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Small conv generator/discriminator, Adam, checkpoints, and the two phases
 of training.
 
-``pretrain`` is the one setup that ``hvgan train`` and ``hvgan compare``
-share: on the corpus the caller loaded, it builds G, D and the frozen feature
-extractor, and pretrains G on the pixel loss. Both then run
-``adversarial_phase``, ``train`` once and ``compare`` once per mode from the
-same pretrained weights. This module computes and returns rows; ``cli``
-writes every run artifact, calling ``save_checkpoint`` for the checkpoint
-format kept here.
+Both phases take the networks, the images and the ``TrainConfig``, and draw
+their own random streams: ``pretrain_generator(g, images, config)`` and
+``adversarial_phase(g, d, images, config)``, which also builds the frozen
+feature extractor it uses. ``pretrain`` is the one setup that ``hvgan train``
+and ``hvgan compare`` share: on the corpus the caller loaded, it builds G and
+D and pretrains G on the pixel loss. Both then run ``adversarial_phase``,
+``train`` once and ``compare`` once per mode from the same pretrained
+weights. This module computes and returns rows; ``cli`` writes every run
+artifact, calling ``save_checkpoint`` for the checkpoint format kept here.
 
 An adversarial iteration runs the generator forward once. ``fake =
 G(lr_batch)`` is recorded on a tape kept for G; the discriminator step trains
@@ -18,9 +20,10 @@ same numbers as a second forward would, since G's weights do not change in
 between.
 
 Training is deterministic by construction: every stochastic choice flows from
-``np.random.default_rng([seed, stream])`` with a fixed stream id per phase
-(0 = weight init, 1 = pretraining batches, 2 = adversarial batches,
-3 = feature extractor), and all arithmetic is double precision.
+``np.random.default_rng([seed, stream])``, drawn where it is used (0 = weight
+init in ``init_networks``, 1 = pretraining batches in ``pretrain_generator``,
+2 = adversarial batches and 3 = feature extractor in ``adversarial_phase``),
+and all arithmetic is double precision.
 
 The generator step backpropagates the weighted sum ``sum_k w_k l_k`` with the
 weights held as constants of the current iterate. For the hypervolume modes
@@ -460,8 +463,8 @@ def _draw_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     lrs, hrs = [], []
     for _ in range(batch_size):
-        idx = int(rng.integers(0, len(images)))
-        pair = random_patch_pair(images[idx], patch_size, rng, idx)
+        img = images[int(rng.integers(0, len(images)))]
+        pair = random_patch_pair(img, patch_size, rng)
         pair = augment_with_rng(pair, rng)
         lrs.append(pair.lr.data)
         hrs.append(pair.hr.data)
@@ -469,27 +472,22 @@ def _draw_batch(
 
 
 def pretrain_generator(
-    g: GeneratorNet,
-    images: Sequence[ImageBuffer],
-    iterations: int,
-    lr: float,
-    batch_size: int,
-    patch_size: int,
-    rng: np.random.Generator,
-    p: int = 1,
+    g: GeneratorNet, images: Sequence[ImageBuffer], config: TrainConfig
 ) -> list[tuple[int, float]]:
-    """Adam steps on the pixel loss only; returns (iteration, loss) rows."""
+    """``config.pretrain_iters`` Adam steps on the pixel loss only, batches
+    drawn from stream ``[seed, 1]``; returns (iteration, loss) rows."""
     if not images:
         raise ValueError("pretrain_generator: empty dataset")
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
-    opt = Adam(g.params(), lr)
+    rng = np.random.default_rng([config.seed, 1])
+    opt = Adam(g.params(), config.lr)
     rows = []
-    for t in range(1, iterations + 1):
-        lr_batch, hr_batch = _draw_batch(images, batch_size, patch_size, rng)
+    for t in range(1, config.pretrain_iters + 1):
+        lr_batch, hr_batch = _draw_batch(
+            images, config.batch_size, config.patch_size, rng
+        )
         with ad.Tape() as tape:
             fake = g.forward(ad.Tensor(lr_batch))
-            loss = pixel_loss(fake, ad.Tensor(hr_batch), p)
+            loss = pixel_loss(fake, ad.Tensor(hr_batch), config.norm_p)
             tape.backward(loss)
         opt.step()
         ad.zero_grads(g.params())
@@ -582,11 +580,14 @@ def adversarial_phase(
     d: DiscriminatorNet,
     images: Sequence[ImageBuffer],
     config: TrainConfig,
-    extractor: FeatureExtractor,
 ) -> list[tuple]:
     """Alternating D/G steps (1:1), one shared batch per iteration, drawn
-    from stream ``[seed, 2]``, and one generator forward per iteration."""
+    from stream ``[seed, 2]``, and one generator forward per iteration. The
+    frozen feature extractor is drawn from stream ``[seed, 3]``."""
     rng = np.random.default_rng([config.seed, 2])
+    extractor = FeatureExtractor(
+        images[0].channels, [config.seed, 3], config.feature_tap
+    )
     opt_g = Adam(g.params(), config.lr)
     opt_d = Adam(d.params(), config.lr)
     rows = []
@@ -609,19 +610,8 @@ def adversarial_phase(
 
 def pretrain(config: TrainConfig, images: Sequence[ImageBuffer]):
     """Everything before the adversarial phase on the loaded corpus: build
-    G, D and the feature extractor, and pretrain G on stream ``[seed, 1]``.
-    Returns (g, d, extractor, pretrain rows)."""
-    channels = images[0].channels
-    g, d = init_networks(config.seed, channels, config.gen_width, config.disc_width)
-    extractor = FeatureExtractor(channels, [config.seed, 3], config.feature_tap)
-    pre_rows = pretrain_generator(
-        g,
-        images,
-        config.pretrain_iters,
-        config.lr,
-        config.batch_size,
-        config.patch_size,
-        np.random.default_rng([config.seed, 1]),
-        config.norm_p,
+    G and D, and pretrain G. Returns (g, d, pretrain rows)."""
+    g, d = init_networks(
+        config.seed, images[0].channels, config.gen_width, config.disc_width
     )
-    return g, d, extractor, pre_rows
+    return g, d, pretrain_generator(g, images, config)

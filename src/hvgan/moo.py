@@ -30,7 +30,6 @@ __all__ = [
     "Orientation",
     "ObjectiveVector",
     "PointSet",
-    "ReferencePoint",
     "dominates",
     "pareto_filter",
     "hypervolume_exact",
@@ -70,21 +69,6 @@ class ObjectiveVector:
         )
         if not isinstance(self.orientation, Orientation):
             raise ValueError(f"orientation must be an Orientation, got {self.orientation!r}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class ReferencePoint:
-    """The corner that bounds the dominated region for hypervolume."""
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", _check_finite_values(self.values, "ReferencePoint")
-        )
 
     def __len__(self) -> int:
         return len(self.values)
@@ -180,9 +164,7 @@ def pareto_filter(s: PointSet) -> PointSet:
 
 def _to_min_arrays(s: PointSet, r) -> tuple[np.ndarray, np.ndarray]:
     """Validate shapes/orientation and return minimize-oriented (pts, ref)."""
-    rv = r.values if isinstance(r, ReferencePoint) else tuple(float(v) for v in r)
-    rv = _check_finite_values(rv, "ReferencePoint")
-    ref = np.array(rv, dtype=np.float64)
+    ref = np.array(_check_finite_values(r, "reference point"), dtype=np.float64)
     if len(s) == 0:
         return np.zeros((0, ref.size)), ref
     if s.dim != ref.size:

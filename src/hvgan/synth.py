@@ -58,15 +58,20 @@ def make_image(seed: int, index: int, size: int = 64) -> ImageBuffer:
 
 
 def make_corpus(seed: int = 0, count: int = 8, size: int = 64) -> list[ImageBuffer]:
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     return [make_image(seed, i, size) for i in range(count)]
 
 
 def write_corpus(out_dir, seed: int = 0, count: int = 8, size: int = 64) -> list[str]:
-    """Write the corpus as PGM files and return the created paths."""
+    """Write the corpus as PGM files and return the created paths. Every
+    image is made before the directory is created, so invalid arguments
+    write nothing."""
+    images = make_corpus(seed, count, size)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for i, img in enumerate(make_corpus(seed, count, size)):
+    for i, img in enumerate(images):
         p = out / f"img_{i:03d}.pgm"
         save_image(img, p)
         paths.append(str(p))

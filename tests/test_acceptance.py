@@ -5,6 +5,7 @@ Run as part of the normal suite (``pytest``) or alone
 a plain ``pytest -v`` shows the battery verdicts inline.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -153,9 +154,10 @@ def test_weighted_sum_update(capsys):
     extractor = FeatureExtractor(1, [3, 3])
 
     g, _ = model.init_networks(3, 1, 16, 8)
-    model.pretrain_generator(
-        g, corpus, 50, 1e-3, 4, 16, np.random.default_rng([3, 1]), 2
-    )
+    model.pretrain_generator(g, corpus, model.TrainConfig(
+        dataset="unused", output_dir="unused", seed=3, norm_p=2,
+        pretrain_iters=50, batch_size=4, patch_size=16, lr=1e-3,
+    ))
     checkpoint = model.get_state(g.params())
     _, d = model.init_networks(3, 1, 16, 8)
     lr_b, hr_b = model._draw_batch(corpus, 4, 16, np.random.default_rng([3, 2]))
@@ -217,9 +219,10 @@ def test_pretraining_beats_nearest_neighbor(capsys):
     t0 = time.perf_counter()
     corpus = make_corpus(seed=0, count=8, size=64)
     g, _ = model.init_networks(0, 1, 16, 8)
-    model.pretrain_generator(
-        g, corpus, 2000, 1e-3, 4, 48, np.random.default_rng([0, 1]), 2
-    )
+    model.pretrain_generator(g, corpus, model.TrainConfig(
+        dataset="unused", output_dir="unused", seed=0, norm_p=2,
+        pretrain_iters=2000, batch_size=4, patch_size=48, lr=1e-3,
+    ))
     gen_vals, nn_vals = [], []
     for img in corpus:
         for pair in extract_patches(img, 48, 2, seed=123):
@@ -247,12 +250,8 @@ def test_adversarial_stability(capsys, tmp_path):
         batch_size=4, patch_size=32, lr=1e-4, lr_milestones=(500,),
     )
     g, d = model.init_networks(0, 1, cfg.gen_width, cfg.disc_width)
-    extractor = FeatureExtractor(1, [0, 3], cfg.feature_tap)
-    model.pretrain_generator(
-        g, corpus, cfg.pretrain_iters, 1e-3, cfg.batch_size, cfg.patch_size,
-        np.random.default_rng([0, 1]), 2,
-    )
-    rows = model.adversarial_phase(g, d, corpus, cfg, extractor)
+    model.pretrain_generator(g, corpus, dataclasses.replace(cfg, lr=1e-3, norm_p=2))
+    rows = model.adversarial_phase(g, d, corpus, cfg)
     all_finite = len(rows) == 1000 and all(
         math.isfinite(float(v)) for row in rows for v in row
     )

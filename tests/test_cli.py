@@ -235,8 +235,8 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg_path)]) == 0
         config, _ = cli._read_config(cfg_path)
         images = model.load_corpus(config.dataset)
-        g, d, extractor, _ = model.pretrain(config, images)
-        model.adversarial_phase(g, d, images, config, extractor)
+        g, d, _ = model.pretrain(config, images)
+        model.adversarial_phase(g, d, images, config)
         state = load_checkpoint(tmp_path / "ck" / "checkpoint.hvgn")
         assert list(state) == [p.name for p in g.params() + d.params()]
         for p in g.params() + d.params():
@@ -281,6 +281,23 @@ class TestTrain:
         cfg_path.write_text("{not json")
         proc = run_cli("train", "--config", str(cfg_path))
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_unmakeable_output_dir_fails_before_pretraining(
+        self, tmp_path, monkeypatch, command
+    ):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        eval_img = tmp_path / "eval.pgm"
+        save_image(ImageBuffer(np.full((1, 16, 16), 0.5)), eval_img)
+        cfg_path, _ = _train_config(
+            tmp_path, "unused", output_dir=str(blocker / "sub"),
+            eval_list=[str(eval_img)],
+        )
+        calls = []
+        monkeypatch.setattr(model, "pretrain", lambda *args: calls.append(args))
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        assert calls == []
 
     def test_prints_history_path(self, tmp_path):
         cfg_path, _ = _train_config(tmp_path, "msg")
@@ -425,6 +442,12 @@ class TestSynthCommand:
         assert sorted(p.name for p in (tmp_path / "c").iterdir()) == [
             "img_000.pgm", "img_001.pgm", "img_002.pgm",
         ]
+
+    def test_negative_count_is_rejected_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert cli.main(["synth", "--out", str(out), "--count", "-3"]) == 1
+        assert "count" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMisc:

@@ -45,13 +45,20 @@ class TestImageBuffer:
         with pytest.raises(ValueError):
             buf.data[0, 0, 0] = 0.5
 
+    def test_owns_its_pixels(self):
+        for arr in (np.full((1, 4, 4), 0.25), np.full((1, 4, 4), 0.25)[:, :, :]):
+            buf = ImageBuffer(arr)
+            assert arr.flags.writeable
+            arr[0, 0, 0] = 1.0
+            assert buf.data[0, 0, 0] == 0.25
+
     def test_patch_pair_enforces_factor_four(self):
         hr = ImageBuffer(np.zeros((1, 8, 8)))
         lr_ok = ImageBuffer(np.zeros((1, 2, 2)))
-        PatchPair(lr_ok, hr, 0, (0, 0))
+        PatchPair(lr_ok, hr, (0, 0))
         lr_bad = ImageBuffer(np.zeros((1, 3, 3)))
         with pytest.raises(ValueError, match="not 4x"):
-            PatchPair(lr_bad, hr, 0, (0, 0))
+            PatchPair(lr_bad, hr, (0, 0))
 
 
 class TestPgmPpm:
@@ -272,7 +279,7 @@ class TestAugment:
     def test_odd_rotation_of_non_square_rejected(self):
         img = _random_image(33, h=8, w=16)
         hr = ImageBuffer(img.data[:, :8, :16])
-        pair = PatchPair(bicubic_downscale(hr, 4), hr, 0, (0, 0))
+        pair = PatchPair(bicubic_downscale(hr, 4), hr, (0, 0))
         with pytest.raises(ValueError, match="square"):
             for seed in range(100):
                 augment(pair, seed)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hvgan.metrics import MetricReport, gmsd, psnr, ssim
+from hvgan.metrics import gmsd, psnr, ssim
 
 from oracles import gmsd_reference
 
@@ -149,10 +149,6 @@ class TestSharedProperties:
             assert psnr(a, b) == pytest.approx(psnr(af, bf), abs=1e-12)
             assert ssim(a, b) == pytest.approx(ssim(af, bf), abs=1e-12)
             assert gmsd(a, b) == pytest.approx(gmsd(af, bf), abs=1e-12)
-
-    def test_report_fields(self):
-        r = MetricReport(psnr=30.0, ssim=0.9, gmsd=0.05)
-        assert (r.psnr, r.ssim, r.gmsd) == (30.0, 0.9, 0.05)
 
     def test_two_d_arrays_promote_to_single_channel(self):
         a, b = _pair(0, shape=(16, 16))

@@ -43,6 +43,14 @@ def _const_images(value=0.6, size=16, count=2):
     return [ImageBuffer(np.full((1, size, size), value)) for _ in range(count)]
 
 
+def _pretrain_config(seed=0, iters=1, lr=1e-3):
+    """What pretrain_generator reads: seed, iterations, lr, batch 2, patch 8."""
+    return TrainConfig(
+        dataset="unused", output_dir="unused", seed=seed, pretrain_iters=iters,
+        lr=lr, batch_size=2, patch_size=8,
+    )
+
+
 def _batch(seed=0, n=2, ps=8):
     imgs = make_corpus(seed=seed, count=2, size=24)
     rng = np.random.default_rng([seed, 9])
@@ -319,9 +327,7 @@ class TestPretrain:
     def test_zero_iterations_leaves_weights_untouched(self):
         g, _ = _tiny_nets(20)
         before = get_state(g.params())
-        rows = pretrain_generator(
-            g, _const_images(), 0, 1e-3, 2, 8, np.random.default_rng(0)
-        )
+        rows = pretrain_generator(g, _const_images(), _pretrain_config(iters=0))
         assert rows == []
         for name, arr in get_state(g.params()).items():
             assert np.array_equal(arr, before[name])
@@ -329,7 +335,7 @@ class TestPretrain:
     def test_constant_target_loss_decreases(self):
         g, _ = _tiny_nets(21)
         rows = pretrain_generator(
-            g, _const_images(), 200, 1e-2, 2, 8, np.random.default_rng([21, 1])
+            g, _const_images(), _pretrain_config(21, iters=200, lr=1e-2)
         )
         assert len(rows) == 200
         assert rows[-1][1] < rows[0][1]
@@ -338,9 +344,7 @@ class TestPretrain:
         finals = []
         for _ in range(2):
             g, _ = _tiny_nets(22)
-            pretrain_generator(
-                g, _const_images(), 10, 1e-3, 2, 8, np.random.default_rng([22, 1])
-            )
+            pretrain_generator(g, _const_images(), _pretrain_config(22, iters=10))
             finals.append(get_state(g.params()))
         for name in finals[0]:
             assert np.array_equal(finals[0][name], finals[1][name])
@@ -348,7 +352,7 @@ class TestPretrain:
     def test_empty_dataset_rejected(self):
         g, _ = _tiny_nets()
         with pytest.raises(ValueError, match="empty dataset"):
-            pretrain_generator(g, [], 1, 1e-3, 2, 8, np.random.default_rng(0))
+            pretrain_generator(g, [], _pretrain_config())
 
 
 class TestDiscriminatorStep:
@@ -529,7 +533,7 @@ class TestNoDiscardedGradients:
 
     def test_pretrain_step(self, calls):
         g, _ = _tiny_nets(60)
-        pretrain_generator(g, _const_images(), 1, 1e-3, 2, 8, np.random.default_rng(0))
+        pretrain_generator(g, _const_images(), _pretrain_config())
         # every G conv weight; every G conv input but the constant LR batch
         assert calls == {"grad_weight": 4, "grad_input": 3}
 
@@ -571,9 +575,7 @@ class TestAdversarialPhase:
             gen_width=4, disc_width=4,
         )
         g, d = init_networks(seed, 1, cfg.gen_width, cfg.disc_width)
-        extractor = FeatureExtractor(1, [seed, 3], cfg.feature_tap)
-        rows = adversarial_phase(g, d, images, cfg, extractor)
-        return rows
+        return adversarial_phase(g, d, images, cfg)
 
     def test_one_generator_forward_per_iteration(self, monkeypatch):
         calls = []
@@ -625,8 +627,8 @@ class TestTrainEndToEnd:
             lr=1e-3, lr_milestones=(3,), gen_width=4, disc_width=4,
         )
         images = load_corpus(cfg.dataset)
-        g, d, extractor, pre_rows = model.pretrain(cfg, images)
-        history = adversarial_phase(g, d, images, cfg, extractor)
+        g, d, pre_rows = model.pretrain(cfg, images)
+        history = adversarial_phase(g, d, images, cfg)
         ckpt = tmp_path / f"{sub}.hvgn"
         save_checkpoint(ckpt, g.params() + d.params())
         return pre_rows, history, ckpt.read_bytes()

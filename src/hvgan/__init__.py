@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 
 from .moo import (
     Orientation,
-    ObjectiveVector,
     PointSet,
     dominates,
     pareto_filter,
@@ -39,7 +38,6 @@ from .scalarize import (
 __all__ = [
     "__version__",
     "Orientation",
-    "ObjectiveVector",
     "PointSet",
     "dominates",
     "pareto_filter",

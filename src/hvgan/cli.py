@@ -96,17 +96,20 @@ def _write_manifest(
 def cmd_hv(args) -> int:
     points = read_points_csv(args.points, _ORIENTATIONS[args.orient])
     ref = [float(v) for v in args.ref.split(",")]
-    print(_fmt12(hypervolume_exact(points, ref)))
+    # Both results are computed before either prints, so a failing
+    # command leaves nothing on stdout.
+    lines = [_fmt12(hypervolume_exact(points, ref))]
     if args.mc is not None:
         est, stderr = hypervolume_mc(points, ref, args.mc, args.seed)
-        print(f"{_fmt12(est)} {_fmt12(stderr)}")
+        lines.append(f"{_fmt12(est)} {_fmt12(stderr)}")
+    print("\n".join(lines))
     return 0
 
 
 def cmd_pareto(args) -> int:
     points = read_points_csv(args.points, _ORIENTATIONS[args.orient])
-    for p in pareto_filter(points).points:
-        print(",".join(_fmt_point(v) for v in p.values))
+    for row in pareto_filter(points).values.tolist():
+        print(",".join(_fmt_point(v) for v in row))
     return 0
 
 

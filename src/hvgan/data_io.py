@@ -8,6 +8,7 @@ round-trip behaviour is testable to the bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -275,7 +276,8 @@ def augment(pair: PatchPair, seed) -> PatchPair:
 # ---------------------------------------------------------------------------
 
 def read_points_csv(path, orientation: Orientation) -> PointSet:
-    """Headerless CSV of objective vectors, one per line; errors name the line."""
+    """Headerless CSV of finite objective vectors, one per line; errors name
+    the line."""
     text = Path(path).read_text(encoding="utf-8")
     rows = []
     width = None
@@ -291,6 +293,10 @@ def read_points_csv(path, orientation: Orientation) -> PointSet:
                 raise ValueError(
                     f"{path}: line {lineno}: non-numeric field {tok.strip()!r}"
                 ) from None
+            if not math.isfinite(values[-1]):
+                raise ValueError(
+                    f"{path}: line {lineno}: non-finite field {tok.strip()!r}"
+                )
         if width is None:
             width = len(values)
         elif len(values) != width:

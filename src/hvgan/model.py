@@ -190,37 +190,34 @@ def apply_generator(g: GeneratorNet, img: ImageBuffer) -> ImageBuffer:
 # optimizer and schedule
 # ---------------------------------------------------------------------------
 
-class Adam:
-    """Standard Adam with bias correction; lr is mutable for scheduling."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(
-        self,
-        params: Sequence[ad.Parameter],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+
+class Adam:
+    """Standard Adam with bias correction and the usual constants
+    (``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``); lr is mutable for
+    scheduling."""
+
+    def __init__(self, params: Sequence[ad.Parameter], lr: float):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
+            self._m[i] = ADAM_BETA1 * self._m[i] + (1.0 - ADAM_BETA1) * g
+            self._v[i] = ADAM_BETA2 * self._v[i] + (1.0 - ADAM_BETA2) * (g * g)
             m_hat = self._m[i] / bc1
             v_hat = self._v[i] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def lr_at(base_lr: float, milestones: Sequence[int], t: int) -> float:

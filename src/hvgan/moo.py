@@ -1,9 +1,11 @@
 """Pareto dominance, nondominated filtering, and hypervolume computation.
 
-Orientation is carried on the data itself so that a Maximize vector can never
-be compared against a Minimize vector by accident. Internally everything is
-reduced to minimization by negating Maximize data; the public results are
-orientation-independent where mathematics says they must be.
+A ``PointSet`` is one read-only float64 ``(k, n)`` array of k points in n
+objectives, plus the one ``Orientation`` that all of them share, so a set
+cannot mix maximized and minimized points. Internally everything is reduced
+to minimization by negating Maximize data (``PointSet.minimized``); the
+public results are orientation-independent where mathematics says they must
+be.
 
 The exact hypervolume uses a recursive dimension sweep: points are sorted on
 the last objective and the volume is integrated slab by slab, each slab being
@@ -18,7 +20,7 @@ and 32 nondominated points.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -28,7 +30,6 @@ from . import kernels
 
 __all__ = [
     "Orientation",
-    "ObjectiveVector",
     "PointSet",
     "dominates",
     "pareto_filter",
@@ -57,81 +58,60 @@ def _check_finite_values(values: Sequence[float], what: str) -> tuple:
 
 
 @dataclass(frozen=True)
-class ObjectiveVector:
-    """A single point in objective space with an explicit optimization sense."""
+class PointSet:
+    """k points in n objectives, held as one read-only float64 ``(k, n)``
+    array, all optimized in one orientation. The set keeps a copy of the
+    values it is given, checked finite."""
 
-    values: tuple
+    values: np.ndarray
     orientation: Orientation
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", _check_finite_values(self.values, "ObjectiveVector")
-        )
+        arr = np.array(self.values, dtype=np.float64)
+        if arr.size == 0 and arr.ndim < 2:
+            arr = arr.reshape(0, 0)
+        if arr.ndim != 2:
+            raise ValueError(f"PointSet: need a (k, n) array, got shape {arr.shape}")
+        if arr.shape[0] and not arr.shape[1]:
+            raise ValueError("PointSet: points need at least one component")
+        bad = np.where(~np.isfinite(arr).all(axis=1))[0]
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"PointSet: point {i} must be finite, got {tuple(arr[i].tolist())}"
+            )
         if not isinstance(self.orientation, Orientation):
             raise ValueError(f"orientation must be an Orientation, got {self.orientation!r}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """An ordered collection of ObjectiveVectors, uniform in length and sense."""
-
-    points: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        pts = tuple(self.points)
-        for p in pts:
-            if not isinstance(p, ObjectiveVector):
-                raise ValueError(f"PointSet entries must be ObjectiveVector, got {p!r}")
-        if pts:
-            n = len(pts[0])
-            sense = pts[0].orientation
-            for i, p in enumerate(pts):
-                if len(p) != n:
-                    raise ValueError(
-                        f"PointSet: point {i} has length {len(p)}, expected {n}"
-                    )
-                if p.orientation is not sense:
-                    raise ValueError(
-                        f"PointSet: point {i} has orientation {p.orientation}, "
-                        f"expected {sense}"
-                    )
-        object.__setattr__(self, "points", pts)
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[float]], orientation: Orientation) -> "PointSet":
-        return cls(tuple(ObjectiveVector(tuple(r), orientation) for r in rows))
+        rows = [tuple(r) for r in rows]
+        for i, r in enumerate(rows):
+            if len(r) != len(rows[0]):
+                raise ValueError(
+                    f"PointSet: point {i} has length {len(r)}, expected {len(rows[0])}"
+                )
+        return cls(rows, orientation)
 
-    @property
-    def orientation(self) -> Orientation | None:
-        return self.points[0].orientation if self.points else None
-
-    @property
-    def dim(self) -> int | None:
-        return len(self.points[0]) if self.points else None
-
-    def as_array(self) -> np.ndarray:
-        if not self.points:
-            return np.zeros((0, 0))
-        return np.array([p.values for p in self.points], dtype=np.float64)
+    def minimized(self) -> np.ndarray:
+        """The values with Maximize data negated: smaller is better everywhere."""
+        if self.orientation is Orientation.MAXIMIZE:
+            return -self.values
+        return self.values
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.values.shape[0]
 
 
-def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
+def dominates(a: Sequence[float], b: Sequence[float], orientation: Orientation) -> bool:
     """True iff a is at least as good as b everywhere and strictly better once."""
-    if len(a) != len(b):
-        raise ValueError(f"dominates: lengths differ ({len(a)} vs {len(b)})")
-    if a.orientation is not b.orientation:
-        raise ValueError(
-            f"dominates: orientations differ ({a.orientation} vs {b.orientation})"
-        )
-    av = np.array(a.values)
-    bv = np.array(b.values)
-    if a.orientation is Orientation.MAXIMIZE:
+    av = np.array(_check_finite_values(a, "dominates"))
+    bv = np.array(_check_finite_values(b, "dominates"))
+    if av.size != bv.size:
+        raise ValueError(f"dominates: lengths differ ({av.size} vs {bv.size})")
+    if orientation is Orientation.MAXIMIZE:
         av, bv = -av, -bv
     return bool(np.all(av <= bv) and np.any(av < bv))
 
@@ -153,27 +133,22 @@ def _pareto_mask(arr: np.ndarray) -> np.ndarray:
 
 def pareto_filter(s: PointSet) -> PointSet:
     """Keep exactly the nondominated points, in input order, duplicates kept."""
-    if len(s) == 0:
-        return PointSet()
-    arr = s.as_array()
-    if s.orientation is Orientation.MAXIMIZE:
-        arr = -arr
-    keep = _pareto_mask(arr)
-    return PointSet(tuple(p for p, k in zip(s.points, keep) if k))
+    return PointSet(s.values[_pareto_mask(s.minimized())], s.orientation)
 
 
 def _to_min_arrays(s: PointSet, r) -> tuple[np.ndarray, np.ndarray]:
-    """Validate shapes/orientation and return minimize-oriented (pts, ref)."""
+    """Validate shapes and return minimize-oriented (pts, ref)."""
     ref = np.array(_check_finite_values(r, "reference point"), dtype=np.float64)
     if len(s) == 0:
         return np.zeros((0, ref.size)), ref
-    if s.dim != ref.size:
+    dim = s.values.shape[1]
+    if dim != ref.size:
         raise ValueError(
-            f"reference point has length {ref.size}, point set has dimension {s.dim}"
+            f"reference point has length {ref.size}, point set has dimension {dim}"
         )
-    pts = s.as_array()
+    pts = s.minimized()
     if s.orientation is Orientation.MAXIMIZE:
-        pts, ref = -pts, -ref
+        ref = -ref
     bad = np.where((pts > ref[None, :]).any(axis=1))[0]
     if bad.size:
         i = int(bad[0])

@@ -94,6 +94,15 @@ class TestHv:
         b = run_cli("hv", str(pts), "--ref", "3,3", "--mc", "5000", "--seed", "3")
         assert a.stdout == b.stdout
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_bad_sample_count_prints_no_partial_result(self, tmp_path, samples):
+        pts = tmp_path / "p.csv"
+        pts.write_text("1,2\n2,1\n")
+        proc = run_cli("hv", str(pts), "--ref", "3,3", "--mc", samples)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "samples" in proc.stderr
+
 
 class TestPareto:
     def test_three_point_example(self, tmp_path):

@@ -296,17 +296,17 @@ class TestPointsCsv:
         path = tmp_path / "p.csv"
         path.write_text("1,2\n2,1\n")
         ps = read_points_csv(path, Orientation.MINIMIZE)
-        assert ps.as_array().tolist() == [[1.0, 2.0], [2.0, 1.0]]
+        assert ps.values.tolist() == [[1.0, 2.0], [2.0, 1.0]]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("")
-        assert len(read_points_csv(path, Orientation.MINIMIZE).points) == 0
+        assert len(read_points_csv(path, Orientation.MINIMIZE)) == 0
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("1,2\n\n2,1\n\n")
-        assert len(read_points_csv(path, Orientation.MINIMIZE).points) == 2
+        assert len(read_points_csv(path, Orientation.MINIMIZE)) == 2
 
     def test_ragged_row_names_the_line(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -318,6 +318,13 @@ class TestPointsCsv:
         path = tmp_path / "n.csv"
         path.write_text("1,2\n1,x\n")
         with pytest.raises(ValueError, match="line 2.*'x'"):
+            read_points_csv(path, Orientation.MINIMIZE)
+
+    @pytest.mark.parametrize("tok", ["nan", "inf", "-inf"])
+    def test_non_finite_field_names_the_line(self, tmp_path, tok):
+        path = tmp_path / "f.csv"
+        path.write_text(f"1,2\n{tok},1\n")
+        with pytest.raises(ValueError, match=f"line 2: non-finite field '{tok}'"):
             read_points_csv(path, Orientation.MINIMIZE)
 
 

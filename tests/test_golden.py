@@ -1,10 +1,11 @@
 """Golden reference: pinned outputs of a tiny training run, of a tiny
-``compare`` run, of ``hv --mc`` and of the exact hypervolume.
+``compare`` run, of ``hv --mc``, of ``pareto`` and of the exact hypervolume.
 
 The values below were recorded once and are compared against, not against a
 rerun of the current code. A refactor that keeps them passes; one that moves
-a training value past 1e-12 relative, changes one dominance count or changes
-the last bit of an exact hypervolume fails.
+a training value past 1e-12 relative, changes one dominance count or one
+printed byte of a Pareto front, or changes the last bit of an exact
+hypervolume fails.
 """
 
 import csv
@@ -135,6 +136,32 @@ HV_STDOUT = {
     6: "0.0587967646700\n0.0583921483834 0.00111417157695\n",
 }
 
+# `hvgan pareto` stdout for POINTS and the 5d_grid rows below, per orientation.
+PARETO_STDOUT = {
+    ("3d", "min"): POINTS_3D,
+    ("3d", "max"): POINTS_3D,
+    ("6d", "min"): (
+        "0.13,0.26,0.77,0.57,0.13,0.44\n0.48,0.19,0.71,0.15,0.4,0.52\n"
+        "0.68,0.31,0.05,0.93,0.32,0.33\n0.85,0.58,0.47,0.75,0.08,0.69\n"
+        "0.39,0.13,0.64,0.89,0.24,0.62\n0.32,0.72,0.7,0.25,0.8,0.64\n"
+        "0.66,0.79,0.44,0.73,0.84,0.14\n"
+    ),
+    ("6d", "max"): (
+        "0.13,0.26,0.77,0.57,0.13,0.44\n0.48,0.19,0.71,0.15,0.4,0.52\n"
+        "0.44,0.58,0.71,0.91,0.31,0.63\n0.68,0.31,0.05,0.93,0.32,0.33\n"
+        "0.85,0.58,0.47,0.75,0.08,0.69\n0.32,0.72,0.7,0.25,0.8,0.64\n"
+        "0.66,0.79,0.44,0.73,0.84,0.14\n"
+    ),
+    ("5d_grid", "min"): (
+        "1,1,2,3,2\n0,2,3,0,2\n1,3,0,1,3\n1,0,3,3,3\n3,2,0,1,2\n"
+        "1,2,1,3,0\n2,0,0,2,1\n1,1,3,2,1\n3,3,1,0,0\n3,2,2,0,1\n"
+        "3,3,0,1,1\n2,0,1,1,0\n0,2,1,1,1\n1,3,0,1,3\n3,2,0,1,2\n"
+    ),
+    ("5d_grid", "max"): (
+        "2,3,3,2,3\n3,3,0,1,2\n1,0,3,3,3\n3,1,2,3,2\n1,2,1,3,0\n"
+        "3,3,1,0,0\n3,2,2,0,1\n3,2,0,3,2\n3,3,0,1,2\n"
+    ),
+}
 
 # Exact hypervolumes pinned bit for bit: a 32-point 3-objective front, a
 # 32-point 6-objective set with 25 nondominated points, and an integer grid
@@ -312,6 +339,22 @@ def test_hv_mc_stdout_is_pinned(tmp_path, dim):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == HV_STDOUT[dim]
+
+
+@pytest.mark.parametrize("name, orient", sorted(PARETO_STDOUT))
+def test_pareto_stdout_is_pinned(tmp_path, name, orient):
+    if name == "5d_grid":
+        text = "".join(",".join(map(str, row)) + "\n" for row in HV_SET_5D_GRID)
+    else:
+        text = POINTS[int(name[0])]
+    pts = tmp_path / f"{name}.csv"
+    pts.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hvgan", "pareto", str(pts), "--orient", orient],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == PARETO_STDOUT[name, orient]
 
 
 @pytest.mark.parametrize("name", sorted(HV_EXACT_HEX))

@@ -4,7 +4,6 @@ import pytest
 from hvgan.moo import (
     MAX_HV_DIM,
     MAX_HV_POINTS,
-    ObjectiveVector,
     Orientation,
     PointSet,
     dominates,
@@ -19,85 +18,98 @@ MIN = Orientation.MINIMIZE
 MAX = Orientation.MAXIMIZE
 
 
-def vec(values, orientation=MIN):
-    return ObjectiveVector(tuple(values), orientation)
-
-
 def pset(rows, orientation=MIN):
     return PointSet.from_rows(rows, orientation)
 
 
 class TestDominates:
     def test_irreflexive_on_equal_points(self):
-        assert dominates(vec((1, 1)), vec((1, 1))) is False
+        assert dominates((1, 1), (1, 1), MIN) is False
 
     def test_strict_improvement_everywhere(self):
-        assert dominates(vec((1, 2)), vec((2, 3))) is True
+        assert dominates((1, 2), (2, 3), MIN) is True
 
     def test_incomparable_pair(self):
-        assert dominates(vec((1, 3)), vec((3, 1))) is False
+        assert dominates((1, 3), (3, 1), MIN) is False
 
     def test_weak_improvement_with_one_strict(self):
-        assert dominates(vec((1, 2)), vec((1, 3))) is True
+        assert dominates((1, 2), (1, 3), MIN) is True
 
     def test_maximize_flips_the_sense(self):
-        assert dominates(vec((2, 3), MAX), vec((1, 2), MAX)) is True
-        assert dominates(vec((1, 2), MAX), vec((2, 3), MAX)) is False
+        assert dominates((2, 3), (1, 2), MAX) is True
+        assert dominates((1, 2), (2, 3), MAX) is False
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="lengths differ"):
-            dominates(vec((1, 2)), vec((1, 2, 3)))
-
-    def test_orientation_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="orientations differ"):
-            dominates(vec((1, 2)), vec((1, 2), MAX))
+            dominates((1, 2), (1, 2, 3), MIN)
 
     def test_non_finite_component_rejected_at_construction(self):
         with pytest.raises(ValueError, match="finite"):
-            vec((1.0, np.nan))
+            dominates((1.0, np.nan), (1.0, 2.0), MIN)
         with pytest.raises(ValueError, match="finite"):
-            vec((np.inf, 0.0))
+            dominates((1.0, 2.0), (np.inf, 0.0), MAX)
+        with pytest.raises(ValueError, match="point 1 must be finite"):
+            pset([(1.0, 2.0), (1.0, np.nan)])
+        with pytest.raises(ValueError, match="point 0 must be finite"):
+            pset([(-np.inf, 0.0)], MAX)
 
     def test_strict_partial_order_on_random_triples(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            a, b, c = (vec(rng.integers(0, 4, size=3)) for _ in range(3))
-            assert not dominates(a, a)
-            if dominates(a, b):
-                assert not dominates(b, a)
-            if dominates(a, b) and dominates(b, c):
-                assert dominates(a, c)
+            a, b, c = (rng.integers(0, 4, size=3) for _ in range(3))
+            assert not dominates(a, a, MIN)
+            if dominates(a, b, MIN):
+                assert not dominates(b, a, MIN)
+            if dominates(a, b, MIN) and dominates(b, c, MIN):
+                assert dominates(a, c, MIN)
 
     def test_orientation_duality_on_random_pairs(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             a = rng.standard_normal(3)
             b = rng.standard_normal(3)
-            assert dominates(vec(a, MAX), vec(b, MAX)) == dominates(
-                vec(-a, MIN), vec(-b, MIN)
-            )
+            assert dominates(a, b, MAX) == dominates(-a, -b, MIN)
+
+
+class TestPointSet:
+    def test_values_are_a_read_only_copy(self):
+        rows = np.array([[1.0, 2.0], [2.0, 1.0]])
+        s = PointSet(rows, MIN)
+        rows[0, 0] = 9.0
+        assert s.values.tolist() == [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(ValueError):
+            s.values[0, 0] = 0.0
+
+    def test_minimized_negates_maximize_data_only(self):
+        rows = [(1, -2), (3, 4)]
+        assert pset(rows, MIN).minimized().tolist() == [[1, -2], [3, 4]]
+        assert pset(rows, MAX).minimized().tolist() == [[-1, 2], [-3, -4]]
+
+    def test_orientation_must_be_an_orientation(self):
+        with pytest.raises(ValueError, match="Orientation"):
+            PointSet.from_rows([(1, 2)], "min")
 
 
 class TestParetoFilter:
     def test_contract_example(self):
         out = pareto_filter(pset([(1, 2), (2, 1), (2, 2)]))
-        assert [p.values for p in out.points] == [(1, 2), (2, 1)]
+        assert out.values.tolist() == [[1, 2], [2, 1]]
 
     def test_singleton_survives(self):
         out = pareto_filter(pset([(5, 5)]))
-        assert [p.values for p in out.points] == [(5, 5)]
+        assert out.values.tolist() == [[5, 5]]
 
     def test_duplicates_of_nondominated_all_kept(self):
         out = pareto_filter(pset([(1, 1), (1, 1)]))
-        assert [p.values for p in out.points] == [(1, 1), (1, 1)]
+        assert out.values.tolist() == [[1, 1], [1, 1]]
 
     def test_empty_set_passes_through(self):
-        assert len(pareto_filter(PointSet())) == 0
+        assert len(pareto_filter(PointSet.from_rows([], MIN))) == 0
 
     def test_preserves_input_order(self):
         rows = [(3, 0), (0, 3), (1, 1), (2, 2)]
         out = pareto_filter(pset(rows))
-        assert [p.values for p in out.points] == [(3, 0), (0, 3), (1, 1)]
+        assert out.values.tolist() == [[3, 0], [0, 3], [1, 1]]
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(11)
@@ -106,29 +118,20 @@ class TestParetoFilter:
             n = int(rng.integers(2, 5))
             rows = [tuple(rng.integers(0, 5, size=n).tolist()) for _ in range(k)]
             expect = [rows[i] for i in pareto_brute(rows)]
-            got = [p.values for p in pareto_filter(pset(rows)).points]
-            assert got == [tuple(float(v) for v in r) for r in expect]
+            got = pareto_filter(pset(rows)).values.tolist()
+            assert got == [[float(v) for v in r] for r in expect]
 
     def test_maximize_matches_negated_minimize(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             rows = rng.standard_normal((6, 3))
-            got_max = [
-                p.values for p in pareto_filter(pset(rows, MAX)).points
-            ]
-            got_min = [
-                tuple(-v for v in p.values)
-                for p in pareto_filter(pset(-rows, MIN)).points
-            ]
-            assert got_max == got_min
+            got_max = pareto_filter(pset(rows, MAX)).values
+            got_min = pareto_filter(pset(-rows, MIN)).values
+            assert got_max.tolist() == (-got_min).tolist()
 
     def test_mixed_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            PointSet((vec((1, 2)), vec((1, 2, 3))))
-
-    def test_mixed_orientations_rejected(self):
-        with pytest.raises(ValueError, match="orientation"):
-            PointSet((vec((1, 2)), vec((1, 2), MAX)))
+        with pytest.raises(ValueError, match="point 1 has length 3"):
+            pset([(1, 2), (1, 2, 3)])
 
 
 class TestHypervolumeExact:
@@ -143,7 +146,7 @@ class TestHypervolumeExact:
         assert hypervolume_exact(pset([(1, 2), (2, 1)]), (3, 3)) == pytest.approx(3.0)
 
     def test_empty_set_is_zero(self):
-        assert hypervolume_exact(PointSet(), (3, 3)) == 0.0
+        assert hypervolume_exact(PointSet.from_rows([], MIN), (3, 3)) == 0.0
 
     def test_point_touching_reference_contributes_nothing(self):
         assert hypervolume_exact(pset([(1, 3)]), (3, 3)) == 0.0
@@ -254,7 +257,7 @@ class TestHypervolumeMC:
         assert stderr == 0.0
 
     def test_empty_set(self):
-        assert hypervolume_mc(PointSet(), (1, 1), 100, seed=0) == (0.0, 0.0)
+        assert hypervolume_mc(PointSet.from_rows([], MIN), (1, 1), 100, seed=0) == (0.0, 0.0)
 
     def test_two_point_front_within_four_stderr(self):
         est, stderr = hypervolume_mc(pset([(1, 2), (2, 1)]), (3, 3), 10**6, seed=5)

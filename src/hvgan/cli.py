@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -93,9 +94,22 @@ def _write_manifest(
 # commands
 # ---------------------------------------------------------------------------
 
+def _parse_ref(text: str) -> list[float]:
+    """``--ref``'s comma-separated coordinates; an error names the field."""
+    ref = []
+    for pos, tok in enumerate(text.split(","), start=1):
+        try:
+            ref.append(float(tok))
+        except ValueError:
+            raise ValueError(
+                f"--ref: field {pos}: non-numeric value {tok.strip()!r}"
+            ) from None
+    return ref
+
+
 def cmd_hv(args) -> int:
     points = read_points_csv(args.points, _ORIENTATIONS[args.orient])
-    ref = [float(v) for v in args.ref.split(",")]
+    ref = _parse_ref(args.ref)
     # Both results are computed before either prints, so a failing
     # command leaves nothing on stdout.
     lines = [_fmt12(hypervolume_exact(points, ref))]
@@ -306,8 +320,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_LEAD = re.compile(r"-\.?\d")
+
+
+def _attach_negative_ref(argv: list[str]) -> list[str]:
+    """argparse reads a token that starts with '-' as an option unless it is
+    one plain negative number, so ``--ref -1,-1`` would lose its value. Join
+    such a value to its flag, giving ``--ref=-1,-1``."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--ref" and _NEGATIVE_LEAD.match(tok):
+            out[-1] = f"--ref={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_negative_ref(argv))
     try:
         return args.func(args)
     except (ValueError, FloatingPointError) as e:

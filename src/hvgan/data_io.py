@@ -4,10 +4,20 @@ Images live as planar (C,H,W) float64 buffers with values in [0,1]. On disk
 the package speaks binary PGM (P5, single channel) and PPM (P6, three
 channel) with maxval 255: both are fully specified byte formats, so
 round-trip behaviour is testable to the bit.
+
+A buffer is validated once, where it enters: public ``ImageBuffer(...)``
+construction, which ``load_image``, ``model.apply_generator`` and ``synth``
+go through, checks shape, finiteness and range and keeps a read-only copy.
+Crops (``random_patch_pair``), clipped downscales (``bicubic_downscale``),
+flips and quarter-turns (``augment_with_rng``) and ``nearest_upscale`` of a
+valid buffer are valid by construction, so they wrap their result without
+checks or a copy. The bicubic weight matrix of each ``(n_in, factor)`` is
+built once and cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +46,12 @@ _BICUBIC_A = -0.5
 class ImageBuffer:
     """Planar (C,H,W) double-precision image with all values in [0,1]. The
     buffer keeps a read-only copy of the pixels it is given, so the caller's
-    array stays writable and later writes to it do not reach the buffer."""
+    array stays writable and later writes to it do not reach the buffer.
+
+    Construction checks shape, finiteness and range. The crops, clipped
+    downscales, flips, rotations and upscales in this module derive valid
+    buffers from valid ones and build them through ``_derived``, which skips
+    the checks and the copy; ``data`` is read-only either way."""
 
     data: np.ndarray
 
@@ -59,6 +74,15 @@ class ImageBuffer:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
+
+    @classmethod
+    def _derived(cls, data: np.ndarray) -> ImageBuffer:
+        """Wrap (C,H,W) pixels derived from a valid buffer by an operation
+        that keeps them in [0,1]: no checks, no copy, marked read-only."""
+        buf = object.__new__(cls)
+        data.setflags(write=False)
+        object.__setattr__(buf, "data", data)
+        return buf
 
     @property
     def channels(self) -> int:
@@ -178,7 +202,14 @@ def _keys(t: np.ndarray) -> np.ndarray:
 
 
 def bicubic_weights(n_in: int, factor: int) -> np.ndarray:
-    """(n_in/factor, n_in) row-stochastic resampling matrix, edge-clamped."""
+    """(n_in/factor, n_in) row-stochastic resampling matrix, edge-clamped.
+    The caller gets its own writable copy of the cached matrix."""
+    return _bicubic_matrix(int(n_in), int(factor)).copy()
+
+
+@functools.lru_cache(maxsize=32)
+def _bicubic_matrix(n_in: int, factor: int) -> np.ndarray:
+    """``bicubic_weights``, built once per ``(n_in, factor)``; read-only."""
     n_out = n_in // factor
     mat = np.zeros((n_out, n_in))
     for i in range(n_out):
@@ -187,6 +218,7 @@ def bicubic_weights(n_in: int, factor: int) -> np.ndarray:
         for tap in range(base - 1, base + 3):
             w = float(_keys(np.asarray(center - tap)))
             mat[i, min(max(tap, 0), n_in - 1)] += w
+    mat.setflags(write=False)
     return mat
 
 
@@ -200,10 +232,10 @@ def bicubic_downscale(img: ImageBuffer, factor: int = 4) -> ImageBuffer:
             f"bicubic_downscale: dimensions {img.height}x{img.width} not "
             f"divisible by {factor}"
         )
-    wh = bicubic_weights(img.height, factor)
-    ww = bicubic_weights(img.width, factor)
+    wh = _bicubic_matrix(img.height, factor)
+    ww = _bicubic_matrix(img.width, factor)
     out = np.einsum("ij,cjk,lk->cil", wh, img.data, ww)
-    return ImageBuffer(np.clip(out, 0.0, 1.0))
+    return ImageBuffer._derived(np.clip(out, 0.0, 1.0))
 
 
 def nearest_upscale(img: ImageBuffer, factor: int = 4) -> ImageBuffer:
@@ -212,7 +244,7 @@ def nearest_upscale(img: ImageBuffer, factor: int = 4) -> ImageBuffer:
     if factor < 1:
         raise ValueError(f"nearest_upscale: factor must be >= 1, got {factor}")
     data = np.repeat(np.repeat(img.data, factor, axis=1), factor, axis=2)
-    return ImageBuffer(data)
+    return ImageBuffer._derived(data)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +264,7 @@ def random_patch_pair(
         )
     top = int(rng.integers(0, img.height - ps + 1))
     left = int(rng.integers(0, img.width - ps + 1))
-    hr = ImageBuffer(img.data[:, top : top + ps, left : left + ps])
+    hr = ImageBuffer._derived(img.data[:, top : top + ps, left : left + ps])
     return PatchPair(bicubic_downscale(hr, 4), hr, (top, left))
 
 
@@ -262,7 +294,7 @@ def augment_with_rng(pair: PatchPair, rng: np.random.Generator) -> PatchPair:
         data = buf.data
         if flip:
             data = data[:, :, ::-1]
-        return ImageBuffer(np.rot90(data, k, axes=(1, 2)))
+        return ImageBuffer._derived(np.rot90(data, k, axes=(1, 2)))
 
     return PatchPair(apply(pair.lr), apply(pair.hr), pair.top_left)
 

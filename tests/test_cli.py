@@ -77,6 +77,24 @@ class TestHv:
         assert proc.returncode == 0
         assert proc.stdout == "3.00000000000\n"
 
+    @pytest.mark.parametrize("ref, want", [("-1,-1", "8"), ("-0.5,-2", "9")])
+    def test_negative_reference_as_separate_argument(self, tmp_path, ref, want):
+        pts = tmp_path / "m.csv"
+        pts.write_text("1,2\n2,1\n")
+        proc = run_cli("hv", str(pts), "--orient", "max", "--ref", ref)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{want}.00000000000\n"
+        joined = run_cli("hv", str(pts), "--orient", "max", f"--ref={ref}")
+        assert joined.stdout == proc.stdout
+
+    def test_non_numeric_reference_field_names_ref_and_position(self, tmp_path):
+        pts = tmp_path / "p.csv"
+        pts.write_text("1,2\n2,1\n")
+        proc = run_cli("hv", str(pts), "--ref", "3,x")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "--ref: field 2: non-numeric value 'x'" in proc.stderr
+
     def test_mc_adds_estimate_line(self, tmp_path):
         pts = tmp_path / "p.csv"
         pts.write_text("1,2\n2,1\n")

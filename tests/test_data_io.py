@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hvgan import autodiff as ad
+from hvgan import model
 from hvgan.data_io import (
     ImageBuffer,
     PatchPair,
@@ -51,6 +53,23 @@ class TestImageBuffer:
             assert arr.flags.writeable
             arr[0, 0, 0] = 1.0
             assert buf.data[0, 0, 0] == 0.25
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25, 1.5])
+    def test_one_bad_pixel_is_rejected(self, bad):
+        arr = np.full((1, 48, 48), 0.5)
+        arr[0, 17, 30] = bad
+        with pytest.raises(ValueError, match=r"finite|\[0,1\]"):
+            ImageBuffer(arr)
+
+    def test_apply_generator_output_is_validated(self, monkeypatch):
+        # the generator's output is the one derived buffer whose pixels are
+        # not valid by construction: clipping keeps a NaN
+        g, _ = model.init_networks(0, gen_width=4, disc_width=4)
+        monkeypatch.setattr(
+            g, "forward", lambda x: ad.Tensor(np.full((1, 1, 32, 32), np.nan))
+        )
+        with pytest.raises(ValueError, match="ImageBuffer: values must be finite"):
+            model.apply_generator(g, ImageBuffer(np.full((1, 8, 8), 0.5)))
 
     def test_patch_pair_enforces_factor_four(self):
         hr = ImageBuffer(np.zeros((1, 8, 8)))
@@ -153,6 +172,13 @@ class TestBicubic:
         assert nz.tolist() == [8, 9, 10, 11]
         assert np.allclose(row[nz], [-0.0625, 0.5625, 0.5625, -0.0625], atol=1e-12)
 
+    def test_mutating_returned_weights_leaves_downscale_alone(self):
+        img = _random_image(12, h=48, w=48)
+        before = bicubic_downscale(img, 4).data
+        bicubic_weights(48, 4)[:] = 0.0
+        assert np.array_equal(bicubic_downscale(img, 4).data, before)
+        assert np.allclose(bicubic_weights(48, 4).sum(axis=1), 1.0, atol=1e-12)
+
     def test_constant_image_stays_constant(self):
         img = ImageBuffer(np.full((1, 8, 8), 0.7))
         out = bicubic_downscale(img, 4)
@@ -219,6 +245,17 @@ class TestPatches:
         img = _random_image(24, h=20, w=20)
         tops = {p.top_left[0] for p in extract_patches(img, 8, 200, seed=3)}
         assert min(tops) == 0 and max(tops) == 12
+
+    def test_derived_buffers_are_read_only(self):
+        pair = random_patch_pair(_random_image(27, h=32, w=32), 16,
+                                 np.random.default_rng(0))
+        for seed in range(8):
+            out = augment_with_rng(pair, np.random.default_rng(seed))
+            bufs = (pair.hr, pair.lr, out.hr, out.lr, nearest_upscale(pair.lr, 2))
+            for buf in bufs:
+                assert not buf.data.flags.writeable
+                with pytest.raises(ValueError):
+                    buf.data[0, 0, 0] = 0.5
 
     def test_patch_too_large_rejected(self):
         with pytest.raises(ValueError, match="larger than image"):

@@ -102,3 +102,6 @@ def test_traced_train_counts_every_step_and_saves_through_model(tmp_path):
     # the checkpoint is written through model.save_checkpoint, where the
     # tracer looks it up
     assert metrics["model.checkpoint.self_ms"] > 0
+    # patch sampling goes through model.random_patch_pair and
+    # model.augment_with_rng, which the tracer times as model.batch
+    assert metrics["model.batch.self_ms"] > 0

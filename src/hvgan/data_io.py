@@ -234,7 +234,7 @@ def bicubic_downscale(img: ImageBuffer, factor: int = 4) -> ImageBuffer:
         )
     wh = _bicubic_matrix(img.height, factor)
     ww = _bicubic_matrix(img.width, factor)
-    out = np.einsum("ij,cjk,lk->cil", wh, img.data, ww)
+    out = wh @ img.data @ ww.T
     return ImageBuffer._derived(np.clip(out, 0.0, 1.0))
 
 

@@ -34,13 +34,21 @@ class TestImageBuffer:
         with pytest.raises(ValueError, match="C in {1,3}"):
             ImageBuffer(np.zeros((2, 4, 4)))
 
+    @staticmethod
+    def _one_bad_pixel(bad):
+        arr = np.full((1, 48, 48), 0.5)
+        arr[0, 17, 30] = bad
+        return arr
+
     def test_rejects_out_of_range_values(self):
-        with pytest.raises(ValueError, match=r"\[0,1\]"):
-            ImageBuffer(np.full((1, 2, 2), 1.5))
+        for bad in (1.5, -0.25):
+            with pytest.raises(ValueError, match=r"\[0,1\]"):
+                ImageBuffer(self._one_bad_pixel(bad))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            ImageBuffer(np.full((1, 2, 2), np.nan))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ImageBuffer(self._one_bad_pixel(bad))
 
     def test_data_is_read_only(self):
         buf = _random_image(0)
@@ -53,13 +61,6 @@ class TestImageBuffer:
             assert arr.flags.writeable
             arr[0, 0, 0] = 1.0
             assert buf.data[0, 0, 0] == 0.25
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25, 1.5])
-    def test_one_bad_pixel_is_rejected(self, bad):
-        arr = np.full((1, 48, 48), 0.5)
-        arr[0, 17, 30] = bad
-        with pytest.raises(ValueError, match=r"finite|\[0,1\]"):
-            ImageBuffer(arr)
 
     def test_apply_generator_output_is_validated(self, monkeypatch):
         # the generator's output is the one derived buffer whose pixels are

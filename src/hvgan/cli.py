@@ -108,6 +108,8 @@ def _parse_ref(text: str) -> list[float]:
 
 
 def cmd_hv(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed: must be a non-negative integer, got {args.seed}")
     points = read_points_csv(args.points, _ORIENTATIONS[args.orient])
     ref = _parse_ref(args.ref)
     # Both results are computed before either prints, so a failing
@@ -150,10 +152,23 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _load_corpus(config: model.TrainConfig) -> list[ImageBuffer]:
+    """The training corpus; a ``patch_size`` that does not fit in one of its
+    images fails here, before any output is written."""
+    images = model.load_corpus(config.dataset)
+    ps = config.patch_size
+    for img in images:
+        if ps > img.height or ps > img.width:
+            raise ValueError(
+                f"patch {ps}x{ps} larger than image {img.height}x{img.width}"
+            )
+    return images
+
+
 def cmd_train(args) -> int:
     config, raw_text = _read_config(args.config)
     started = _utc_now()
-    images = model.load_corpus(config.dataset)
+    images = _load_corpus(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     g, d, pre_rows = model.pretrain(config, images)
@@ -203,7 +218,7 @@ def cmd_compare(args) -> int:
     if not config.eval_list:
         raise ValueError("compare requires a nonempty eval_list in the config")
     started = _utc_now()
-    images = model.load_corpus(config.dataset)
+    images = _load_corpus(config)
     eval_pairs = _load_eval_pairs(config.eval_list, images[0].channels)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -72,6 +72,52 @@ def conv2d_naive(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tap_overlap(length: int, shift: int) -> tuple[slice, slice]:
+    """Output positions along one axis whose input position, shifted by
+    ``shift``, lies inside the image, as (output slice, input slice)."""
+    lo, hi = max(0, -shift), min(length, length - shift)
+    if lo >= hi:
+        return slice(0, 0), slice(0, 0)
+    return slice(lo, hi), slice(lo + shift, hi + shift)
+
+
+def conv2d_grad_input_naive(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Input gradient of conv2d_naive, one kernel tap and channel pair at a
+    time: output pixel (y, x) read input pixel (y + i - kh//2, x + j - kw//2)
+    with weight w[o, c, i, j], so it sends back that weight times its
+    gradient."""
+    n, o, h, wd = gy.shape
+    _, c, kh, kw = w.shape
+    gx = np.zeros((n, c, h, wd))
+    for i in range(kh):
+        ys_out, ys_in = _tap_overlap(h, i - kh // 2)
+        for j in range(kw):
+            xs_out, xs_in = _tap_overlap(wd, j - kw // 2)
+            for oc in range(o):
+                for ic in range(c):
+                    gx[:, ic, ys_in, xs_in] += w[oc, ic, i, j] * gy[:, oc, ys_out, xs_out]
+    return gx
+
+
+def conv2d_grad_weight_naive(x: np.ndarray, gy: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Weight gradient of conv2d_naive, one kernel tap and channel pair at a
+    time: the sum over images and output pixels of the output gradient times
+    the input pixel that tap read."""
+    n, c, h, wd = x.shape
+    o = gy.shape[1]
+    gw = np.zeros((o, c, kh, kw))
+    for i in range(kh):
+        ys_out, ys_in = _tap_overlap(h, i - kh // 2)
+        for j in range(kw):
+            xs_out, xs_in = _tap_overlap(wd, j - kw // 2)
+            for oc in range(o):
+                for ic in range(c):
+                    gw[oc, ic, i, j] = np.sum(
+                        gy[:, oc, ys_out, xs_out] * x[:, ic, ys_in, xs_in]
+                    )
+    return gw
+
+
 def feature_stack_reference(
     img: np.ndarray, seed, tap: str = "post", widths=(8, 16, 16)
 ) -> np.ndarray:

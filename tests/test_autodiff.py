@@ -227,6 +227,22 @@ class TestFiniteDiff:
         err = ad.finite_diff_check(fn, [x])
         assert err > 0.1
 
+    # O < C, O = C and O > C: each side of the conv kernels' shape rules
+    @pytest.mark.parametrize(
+        "c, o, kh, kw", [(3, 2, 3, 3), (2, 2, 3, 1), (2, 3, 3, 3)],
+        ids=["narrowing", "square", "widening"],
+    )
+    def test_conv2d_gradients_on_each_kernel_branch(self, c, o, kh, kw):
+        rng = np.random.default_rng(73)
+        x = rng.standard_normal((2, c, 4, 5))
+        ker = rng.standard_normal((o, c, kh, kw))
+        weight = rng.standard_normal((2, o, 4, 5))
+        err = ad.finite_diff_check(
+            lambda p: ad.reduce_sum(ad.mul(ad.conv2d(p[0], p[1]), Tensor(weight))),
+            [x, ker],
+        )
+        assert err < 1e-7
+
     def test_every_primitive_is_registered_once(self):
         want = {
             "add", "sub", "mul", "scalar_add", "scalar_mul", "scalar_broadcast",

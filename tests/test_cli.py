@@ -112,6 +112,14 @@ class TestHv:
         b = run_cli("hv", str(pts), "--ref", "3,3", "--mc", "5000", "--seed", "3")
         assert a.stdout == b.stdout
 
+    def test_negative_seed_is_named(self, tmp_path):
+        pts = tmp_path / "p.csv"
+        pts.write_text("1,2\n2,1\n")
+        proc = run_cli("hv", str(pts), "--ref", "3,3", "--mc", "10", "--seed", "-1")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "--seed" in proc.stderr
+
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_bad_sample_count_prints_no_partial_result(self, tmp_path, samples):
         pts = tmp_path / "p.csv"
@@ -325,6 +333,20 @@ class TestTrain:
         monkeypatch.setattr(model, "pretrain", lambda *args: calls.append(args))
         assert cli.main([command, "--config", str(cfg_path)]) == 2
         assert calls == []
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_patch_larger_than_an_image_fails_before_writing(self, tmp_path, command):
+        eval_img = tmp_path / "eval.pgm"
+        save_image(ImageBuffer(np.full((1, 16, 16), 0.5)), eval_img)
+        cfg_path, _ = _train_config(
+            tmp_path, "big", patch_size=32, pretrain_iters=0,
+            eval_list=[str(eval_img)],
+        )
+        proc = run_cli(command, "--config", str(cfg_path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "patch 32x32 larger than image 24x24" in proc.stderr
+        assert not (tmp_path / "big").exists()
 
     def test_prints_history_path(self, tmp_path):
         cfg_path, _ = _train_config(tmp_path, "msg")

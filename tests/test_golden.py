@@ -1,5 +1,6 @@
-"""Golden reference: pinned outputs of a tiny training run, of a tiny
-``compare`` run, of ``hv --mc``, of ``pareto`` and of the exact hypervolume.
+"""Golden reference: pinned outputs of a tiny training run on a 1-channel and
+on a 3-channel corpus, of a tiny ``compare`` run, of ``hv --mc``, of
+``pareto`` and of the exact hypervolume.
 
 The values below were recorded once and are compared against, not against a
 rerun of the current code. A refactor that keeps them passes; one that moves
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from hvgan import cli, model
+from hvgan.data_io import ImageBuffer, save_image
 from hvgan.moo import Orientation, PointSet, hypervolume_exact
 from hvgan.synth import write_corpus
 
@@ -64,6 +66,46 @@ CHECKPOINT_NORMS = [
     ("d.conv2.b", 0.008224198822202416),
     ("d.fc.w", 0.9815065114218674),
     ("d.fc.b", 0.002996237792675491),
+]
+
+# The same run on a seeded 3-channel corpus (RGB_CORPUS_SEED): G conv4 narrows
+# 4 -> 3, G conv2-3 keep 4 -> 4 and D conv1 widens 3 -> 4, so every shape rule
+# of the conv kernels runs. Recorded with the im2col-only kernels.
+RGB_CORPUS_SEED = 311
+RGB_PRETRAIN_ROWS = [
+    [1, 0.24915954731272882],
+    [2, 0.23923945074533812],
+    [3, 0.26313951535509567],
+]
+RGB_HISTORY_ROWS = [
+    [1, 1.3934457505488527, 0.2429925545517241, 0.060261558676038635,
+     8.595455953741101, 0.05374450242604688, 1000000.0, 0.10060626905860526,
+     1, 0.001],
+    [2, 1.3715235266563905, 0.2628731504356742, 0.059740646929391905,
+     8.594226042643557, 0.053681255224008705, 1000000.0, 0.10060099686343633,
+     1, 0.001],
+    [3, 1.3831571011063661, 0.24770008124292028, 0.059209590869291284,
+     8.594797319265185, 0.053714800378931504, 1000000.0, 0.10059562256553468,
+     1, 0.0005],
+    [4, 1.3856331843534244, 0.2477084186377795, 0.05598816771099592,
+     8.594606321856407, 0.05372194552217782, 1000000.0, 0.10056303400131925,
+     1, 0.0005],
+]
+RGB_CHECKPOINT_NORMS = [
+    ("g.conv1.w", 1.9134154178667964),
+    ("g.conv1.b", 0.005200513901410581),
+    ("g.conv2.w", 2.106317263595673),
+    ("g.conv2.b", 0.004289226098792113),
+    ("g.conv3.w", 1.926917033980004),
+    ("g.conv3.b", 0.006975054095430241),
+    ("g.conv4.w", 1.8757379665011482),
+    ("g.conv4.b", 0.005039013417213064),
+    ("d.conv1.w", 1.8165421005923859),
+    ("d.conv1.b", 0.00513625135004719),
+    ("d.conv2.w", 2.615077069177579),
+    ("d.conv2.b", 0.007985114304466908),
+    ("d.fc.w", 1.0206893954744554),
+    ("d.fc.b", 0.0029691819747034247),
 ]
 
 # The compare_run config of tests/test_cli.py: results.csv rows (mode, psnr,
@@ -229,12 +271,8 @@ HV_EXACT_HEX = {
 }
 
 
-@pytest.fixture(scope="module")
-def tiny_run(tmp_path_factory):
-    """The test_determinism tiny config, trained once."""
-    root = tmp_path_factory.mktemp("golden")
-    corpus = root / "corpus"
-    write_corpus(corpus, seed=0, count=2, size=24)
+def _train_tiny(root, corpus):
+    """The test_determinism tiny config on ``corpus``, trained once."""
     cfg = {
         "dataset": str(corpus), "output_dir": str(root / "run"),
         "seed": 0, "pretrain_iters": 3, "adversarial_iters": 4,
@@ -245,6 +283,24 @@ def tiny_run(tmp_path_factory):
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
     return root / "run"
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    write_corpus(root / "corpus", seed=0, count=2, size=24)
+    return _train_tiny(root, root / "corpus")
+
+
+@pytest.fixture(scope="module")
+def rgb_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden_rgb")
+    corpus = root / "corpus"
+    corpus.mkdir()
+    rng = np.random.default_rng(RGB_CORPUS_SEED)
+    for k in range(2):
+        save_image(ImageBuffer(rng.uniform(size=(3, 24, 24))), corpus / f"rgb{k}.ppm")
+    return _train_tiny(root, corpus)
 
 
 def _read_csv(path):
@@ -262,17 +318,41 @@ def _read_csv(path):
     ids=["pretrain", "history"],
 )
 def test_training_csv_matches_pinned_values(tiny_run, name, header, rows):
-    got_header, got_rows = _read_csv(tiny_run / name)
+    _assert_csv_rows(tiny_run / name, header, rows)
+
+
+def test_checkpoint_norms_match_pinned_values(tiny_run):
+    _assert_norms(tiny_run / "checkpoint.hvgn", CHECKPOINT_NORMS)
+
+
+@pytest.mark.parametrize(
+    "name, header, rows",
+    [
+        ("pretrain.csv", PRETRAIN_HEADER, RGB_PRETRAIN_ROWS),
+        ("history.csv", HISTORY_HEADER, RGB_HISTORY_ROWS),
+    ],
+    ids=["pretrain", "history"],
+)
+def test_rgb_training_csv_matches_pinned_values(rgb_run, name, header, rows):
+    _assert_csv_rows(rgb_run / name, header, rows)
+
+
+def test_rgb_checkpoint_norms_match_pinned_values(rgb_run):
+    _assert_norms(rgb_run / "checkpoint.hvgn", RGB_CHECKPOINT_NORMS)
+
+
+def _assert_csv_rows(path, header, rows):
+    got_header, got_rows = _read_csv(path)
     assert got_header == header
     assert len(got_rows) == len(rows)
     for got, want in zip(got_rows, rows):
         assert got == pytest.approx(want, rel=REL, abs=0)
 
 
-def test_checkpoint_norms_match_pinned_values(tiny_run):
-    state = model.load_checkpoint(tiny_run / "checkpoint.hvgn")
-    assert list(state) == [name for name, _ in CHECKPOINT_NORMS]
-    for name, want in CHECKPOINT_NORMS:
+def _assert_norms(path, norms):
+    state = model.load_checkpoint(path)
+    assert list(state) == [name for name, _ in norms]
+    for name, want in norms:
         got = float(np.linalg.norm(state[name]))
         assert got == pytest.approx(want, rel=REL, abs=0), name
 
@@ -312,19 +392,13 @@ def test_compare_results_match_pinned_values(tiny_compare):
 
 @pytest.mark.parametrize("mode", sorted(COMPARE_HISTORY))
 def test_compare_history_matches_pinned_values(tiny_compare, mode):
-    got_header, got_rows = _read_csv(tiny_compare / mode / "history.csv")
-    assert got_header == HISTORY_HEADER
-    assert len(got_rows) == len(COMPARE_HISTORY[mode])
-    for got, want in zip(got_rows, COMPARE_HISTORY[mode]):
-        assert got == pytest.approx(want, rel=REL, abs=0)
+    _assert_csv_rows(
+        tiny_compare / mode / "history.csv", HISTORY_HEADER, COMPARE_HISTORY[mode]
+    )
 
 
 def test_pretrained_checkpoint_norms_match_pinned_values(tiny_compare):
-    state = model.load_checkpoint(tiny_compare / "pretrained.hvgn")
-    assert list(state) == [name for name, _ in PRETRAINED_NORMS]
-    for name, want in PRETRAINED_NORMS:
-        got = float(np.linalg.norm(state[name]))
-        assert got == pytest.approx(want, rel=REL, abs=0), name
+    _assert_norms(tiny_compare / "pretrained.hvgn", PRETRAINED_NORMS)
 
 
 @pytest.mark.parametrize("dim", [3, 6])

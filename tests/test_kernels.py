@@ -4,16 +4,28 @@ import pytest
 from hvgan import kernels
 from hvgan.moo import MAX_HV_DIM
 
-from oracles import conv2d_naive
+from oracles import conv2d_grad_input_naive, conv2d_grad_weight_naive, conv2d_naive
 
 
 # shapes every conv test covers whatever the random draws give: non-square
-# kernels (the im2col tap loop indexes kh and kw separately), N=1 and O=1
+# kernels (the tap loops index kh and kw separately), N=1 and O=1, and each
+# side of the kernels' shape rules. Forward and grad_weight take shifted GEMMs
+# where O <= C and im2col where O > C; grad_input takes col2im where C < O and
+# otherwise a forward pass with O and C swapped.
 FIXED_SHAPES = [  # ((N, C, H, W), (O, kh, kw))
     ((1, 2, 5, 7), (3, 1, 3)),
     ((2, 3, 6, 4), (1, 3, 5)),
     ((1, 1, 4, 6), (1, 5, 1)),
     ((3, 2, 5, 5), (2, 5, 3)),
+    ((1, 3, 6, 5), (16, 3, 3)),  # 3 -> 16: O > C, col2im grad_input
+    ((2, 16, 5, 4), (3, 3, 3)),  # 16 -> 3: O < C
+    ((2, 3, 4, 6), (8, 3, 3)),  # 3 -> 8
+    ((1, 4, 5, 5), (4, 3, 3)),  # O = C
+    ((2, 5, 4, 3), (2, 1, 1)),  # 1x1, O < C
+    ((1, 2, 3, 7), (2, 1, 5)),  # non-square, O = C
+    ((2, 3, 2, 4), (1, 5, 3)),  # kh > H: taps past the flat buffer's end
+    ((1, 2, 2, 2), (6, 5, 5)),  # kh > H and kw > W, C < O
+    ((1, 6, 3, 2), (6, 5, 1)),  # kh > H, O = C
 ]
 
 
@@ -88,6 +100,28 @@ class TestNumpyKernels:
             gw = kernels.conv2d_grad_weight(x, gy, ker.shape[2], ker.shape[3])
             assert gw.shape == ker.shape
             assert lhs == pytest.approx(np.sum(ker * gw), rel=1e-12)
+
+    def test_grad_input_matches_naive(self):
+        rng = np.random.default_rng(87)
+        for x, ker in _cases(rng, 20):
+            gy = rng.standard_normal(
+                (x.shape[0], ker.shape[0], x.shape[2], x.shape[3])
+            )
+            got = kernels.conv2d_grad_input(gy, ker)
+            assert got.shape == x.shape
+            want = conv2d_grad_input_naive(gy, ker)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_grad_weight_matches_naive(self):
+        rng = np.random.default_rng(88)
+        for x, ker in _cases(rng, 20):
+            gy = rng.standard_normal(
+                (x.shape[0], ker.shape[0], x.shape[2], x.shape[3])
+            )
+            kh, kw = ker.shape[2:]
+            got = kernels.conv2d_grad_weight(x, gy, kh, kw)
+            want = conv2d_grad_weight_naive(x, gy, kh, kw)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     def test_count_dominated_small_cases(self):
         points = np.array([[0.5, 0.5]])

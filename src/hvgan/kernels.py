@@ -24,17 +24,34 @@ __all__ = [
 BACKEND = "numpy"
 
 
+def _pad_flat(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(N,C,H,W) -> zero-padded channel-major (C, N*Hp*Wp + slack) buffer.
+
+    Hp = H+kh-1 and Wp = W+kw-1. Padded pixel (n, y, x) sits at column
+    ``(n*Hp + y)*Wp + x``, so the pixel that tap (i, j) reads for output
+    pixel (n, y, x) is ``i*Wp + j`` columns further on. The slack of
+    ``(kh-1)*Wp + kw-1`` trailing zeros keeps the last tap's
+    N*Hp*Wp-column slice in bounds.
+    """
+    n, c, h, w = x.shape
+    hp, wp = h + kh - 1, w + kw - 1
+    size = n * hp * wp
+    buf = np.zeros((c, size + (kh - 1) * wp + kw - 1), dtype=x.dtype)
+    padded = buf[:, :size].reshape(c, n, hp, wp)
+    padded[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x.transpose(1, 0, 2, 3)
+    return buf
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """(N,C,H,W) -> (C*kh*kw, N*H*W) patch matrix under same zero padding.
 
     Row ``(c*kh + i)*kw + j`` holds channel c shifted by tap (i, j), which is
-    the order of ``w.reshape(O, -1)``. The input is padded once into a
-    channel-major (C, N, H+kh-1, W+kw-1) copy; each tap is then one slice
-    assignment that fills C contiguous rows of N*H*W values.
+    the order of ``w.reshape(O, -1)``. Each tap is one slice assignment from
+    the padded input that fills C contiguous rows of N*H*W values.
     """
     n, c, h, w = x.shape
-    xp = np.zeros((c, n, h + kh - 1, w + kw - 1), dtype=x.dtype)
-    xp[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x.transpose(1, 0, 2, 3)
+    hp, wp = h + kh - 1, w + kw - 1
+    xp = _pad_flat(x, kh, kw)[:, : n * hp * wp].reshape(c, n, hp, wp)
     cols = np.empty((c, kh, kw, n, h, w), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
@@ -43,13 +60,31 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stride-1 same-zero-padding correlation of (N,C,H,W) with (O,C,kh,kw)."""
+    """Stride-1 same-zero-padding correlation of (N,C,H,W) with (O,C,kh,kw).
+
+    Shifted GEMMs where O <= C, im2col otherwise.
+    """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    n, _, h, wd = x.shape
-    o = w.shape[0]
-    out = w.reshape(o, -1) @ _im2col(x, w.shape[2], w.shape[3])
-    return np.ascontiguousarray(out.reshape(o, n, h, wd).transpose(1, 0, 2, 3))
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    if o > c:
+        out = w.reshape(o, -1) @ _im2col(x, kh, kw)
+        return np.ascontiguousarray(out.reshape(o, n, h, wd).transpose(1, 0, 2, 3))
+    buf = _pad_flat(x, kh, kw)
+    hp, wp = h + kh - 1, wd + kw - 1
+    size = n * hp * wp
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    out = taps[0, 0] @ buf[:, :size]
+    part = np.empty_like(out)
+    for i in range(kh):
+        for j in range(kw):
+            if i or j:
+                off = i * wp + j
+                np.matmul(taps[i, j], buf[:, off : off + size], out=part)
+                out += part
+    out = out.reshape(o, n, hp, wp)[:, :, :h, :wd]
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
 def conv2d_grad_input(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -63,13 +98,31 @@ def conv2d_grad_input(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def conv2d_grad_weight(x: np.ndarray, gy: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Gradient of conv2d_forward w.r.t. the (O,C,kh,kw) kernel."""
+    """Gradient of conv2d_forward w.r.t. the (O,C,kh,kw) kernel.
+
+    Shifted GEMMs where O <= C, im2col otherwise.
+    """
     x = np.asarray(x, dtype=np.float64)
     gy = np.asarray(gy, dtype=np.float64)
-    c = x.shape[1]
+    n, c, h, wd = x.shape
     o = gy.shape[1]
-    gflat = gy.transpose(1, 0, 2, 3).reshape(o, -1)
-    return (gflat @ _im2col(x, kh, kw).T).reshape(o, c, kh, kw)
+    if o > c:
+        gflat = gy.transpose(1, 0, 2, 3).reshape(o, -1)
+        return (gflat @ _im2col(x, kh, kw).T).reshape(o, c, kh, kw)
+    buf = _pad_flat(x, kh, kw)
+    hp, wp = h + kh - 1, wd + kw - 1
+    size = n * hp * wp
+    # the output gradient on the padded grid; the zeros drop the columns
+    # that fall outside the H x W output
+    g = np.zeros((o, n, hp, wp))
+    g[:, :, :h, :wd] = gy.transpose(1, 0, 2, 3)
+    g = g.reshape(o, size)
+    gw = np.empty((kh, kw, o, c))
+    for i in range(kh):
+        for j in range(kw):
+            off = i * wp + j
+            np.matmul(g, buf[:, off : off + size].T, out=gw[i, j])
+    return np.ascontiguousarray(gw.transpose(2, 3, 0, 1))
 
 
 def count_dominated(samples: np.ndarray, points: np.ndarray) -> int:

@@ -42,6 +42,18 @@ def _pad_flat(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return buf
 
 
+def _pad_grad(gy: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(N,O,H,W) output gradient -> (O, N*Hp*Wp) on the grid of ``_pad_flat``.
+
+    Output pixel (n, y, x) goes to column ``(n*Hp + y)*Wp + x``, the column
+    of the padded pixel its tap (0, 0) reads; the other columns are zero.
+    """
+    n, o, h, w = gy.shape
+    g = np.zeros((o, n, h + kh - 1, w + kw - 1))
+    g[:, :, :h, :w] = gy.transpose(1, 0, 2, 3)
+    return g.reshape(o, -1)
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """(N,C,H,W) -> (C*kh*kw, N*H*W) patch matrix under same zero padding.
 
@@ -90,11 +102,30 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def conv2d_grad_input(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Gradient of conv2d_forward w.r.t. its input.
 
-    Equals a same-padding correlation of the output gradient with the kernel
-    rotated 180 degrees and its channel axes swapped.
+    Where the layer widens (C < O) this is col2im: one GEMM
+    ``w.reshape(O, C*kh*kw).T @ gy`` over the output gradient placed on the
+    padded grid, whose kh*kw row blocks are added into the flat padded buffer
+    of ``_pad_flat`` at their tap offsets, then cropped. Otherwise it is a
+    same-padding correlation of the output gradient with the kernel rotated
+    180 degrees and its channel axes swapped, run by ``conv2d_forward``.
     """
-    w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return conv2d_forward(gy, w_flip)
+    n, o, h, wd = gy.shape
+    _, c, kh, kw = w.shape
+    if c >= o:
+        w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        return conv2d_forward(gy, w_flip)
+    gy = np.asarray(gy, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    hp, wp = h + kh - 1, wd + kw - 1
+    size = n * hp * wp
+    cols = (w.reshape(o, -1).T @ _pad_grad(gy, kh, kw)).reshape(c, kh, kw, size)
+    buf = np.zeros((c, size + (kh - 1) * wp + kw - 1))
+    for i in range(kh):
+        for j in range(kw):
+            off = i * wp + j
+            buf[:, off : off + size] += cols[:, i, j]
+    gx = buf[:, :size].reshape(c, n, hp, wp)[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd]
+    return np.ascontiguousarray(gx.transpose(1, 0, 2, 3))
 
 
 def conv2d_grad_weight(x: np.ndarray, gy: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -112,11 +143,8 @@ def conv2d_grad_weight(x: np.ndarray, gy: np.ndarray, kh: int, kw: int) -> np.nd
     buf = _pad_flat(x, kh, kw)
     hp, wp = h + kh - 1, wd + kw - 1
     size = n * hp * wp
-    # the output gradient on the padded grid; the zeros drop the columns
-    # that fall outside the H x W output
-    g = np.zeros((o, n, hp, wp))
-    g[:, :, :h, :wd] = gy.transpose(1, 0, 2, 3)
-    g = g.reshape(o, size)
+    # the zero columns of g drop the products of pixels outside the output
+    g = _pad_grad(gy, kh, kw)
     gw = np.empty((kh, kw, o, c))
     for i in range(kh):
         for j in range(kw):

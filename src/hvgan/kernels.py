@@ -1,12 +1,28 @@
 """Hot numeric kernels: same-padding conv2d and Monte-Carlo dominance counting.
 
-conv2d is im2col followed by one BLAS matmul. The patch matrix ``cols`` is
-channel-first, (C*kh*kw, N*H*W), built from a zero-padded channel-major copy
-of the input with one slice copy per kernel tap. The forward pass is then
-``w.reshape(O, -1) @ cols`` and the weight gradient is the (O, N*H*W) output
-gradient times ``cols.T``; the input gradient is a forward pass with the
-flipped kernel. The dominance counter compares the samples column by column,
-one point at a time.
+Each conv2d kernel picks its algorithm from the layer's channel counts alone
+(C in, O out), so a rerun takes the same path and gives the same bits:
+
+- Forward and weight gradient, O <= C (the layer keeps or narrows its
+  width): shifted GEMMs, the kn2row family. The input is zero-padded once
+  into a flat channel-major buffer in which each kernel tap is a column
+  offset. The forward pass sums one (O, C) x (C, L) GEMM per tap and crops
+  the valid pixels; the weight gradient of tap (i, j) is the output gradient
+  on the padded grid times the tap's shifted slice, transposed. No patch
+  matrix is built.
+- Forward and weight gradient, O > C: im2col and one GEMM. The patch matrix
+  ``cols`` is channel-first, (C*kh*kw, N*H*W), one slice copy per tap of the
+  same padded buffer; the forward pass is ``w.reshape(O, -1) @ cols`` and
+  the weight gradient the (O, N*H*W) output gradient times ``cols.T``.
+- Input gradient, C < O (the layer widens): col2im. One GEMM
+  ``w.reshape(O, C*kh*kw).T`` times the output gradient gives C*kh*kw rows;
+  each tap's rows are added into a flat padded buffer at the tap's offset,
+  and the valid pixels are cropped.
+- Input gradient, C >= O: a forward pass with the flipped kernel (O in, C
+  out), which the forward rule dispatches.
+
+The dominance counter compares the samples column by column, one point at a
+time.
 """
 
 from __future__ import annotations
@@ -24,21 +40,25 @@ __all__ = [
 BACKEND = "numpy"
 
 
-def _pad_flat(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(N,C,H,W) -> zero-padded channel-major (C, N*Hp*Wp + slack) buffer.
+def _flat_buffer(n: int, c: int, h: int, w: int, kh: int, kw: int):
+    """Zero (C, N*Hp*Wp + slack) buffer and the (C, N, H, W) view of its
+    interior, with Hp = H+kh-1 and Wp = W+kw-1.
 
-    Hp = H+kh-1 and Wp = W+kw-1. Padded pixel (n, y, x) sits at column
-    ``(n*Hp + y)*Wp + x``, so the pixel that tap (i, j) reads for output
-    pixel (n, y, x) is ``i*Wp + j`` columns further on. The slack of
-    ``(kh-1)*Wp + kw-1`` trailing zeros keeps the last tap's
-    N*Hp*Wp-column slice in bounds.
+    Padded pixel (n, y, x) sits at column ``(n*Hp + y)*Wp + x``, so the pixel
+    that tap (i, j) reads for output pixel (n, y, x) is ``i*Wp + j`` columns
+    further on. The slack of ``(kh-1)*Wp + kw-1`` trailing zeros keeps the
+    last tap's N*Hp*Wp-column slice in bounds.
     """
-    n, c, h, w = x.shape
     hp, wp = h + kh - 1, w + kw - 1
-    size = n * hp * wp
-    buf = np.zeros((c, size + (kh - 1) * wp + kw - 1), dtype=x.dtype)
-    padded = buf[:, :size].reshape(c, n, hp, wp)
-    padded[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x.transpose(1, 0, 2, 3)
+    buf = np.zeros((c, n * hp * wp + (kh - 1) * wp + kw - 1))
+    grid = buf[:, : n * hp * wp].reshape(c, n, hp, wp)
+    return buf, grid[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w]
+
+
+def _pad_flat(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(N,C,H,W) -> its zero-padded ``_flat_buffer``."""
+    buf, interior = _flat_buffer(*x.shape, kh, kw)
+    interior[...] = x.transpose(1, 0, 2, 3)
     return buf
 
 
@@ -64,7 +84,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     n, c, h, w = x.shape
     hp, wp = h + kh - 1, w + kw - 1
     xp = _pad_flat(x, kh, kw)[:, : n * hp * wp].reshape(c, n, hp, wp)
-    cols = np.empty((c, kh, kw, n, h, w), dtype=x.dtype)
+    cols = np.empty((c, kh, kw, n, h, w))
     for i in range(kh):
         for j in range(kw):
             cols[:, i, j] = xp[:, :, i : i + h, j : j + w]
@@ -102,10 +122,9 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def conv2d_grad_input(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Gradient of conv2d_forward w.r.t. its input.
 
-    Where the layer widens (C < O) this is col2im: one GEMM
-    ``w.reshape(O, C*kh*kw).T @ gy`` over the output gradient placed on the
-    padded grid, whose kh*kw row blocks are added into the flat padded buffer
-    of ``_pad_flat`` at their tap offsets, then cropped. Otherwise it is a
+    Where C < O, col2im: the GEMM ``w.reshape(O, C*kh*kw).T @ g``, with the
+    output gradient ``g`` on the padded grid, and then each tap's C rows
+    added into the flat padded buffer at the tap's offset. Where C >= O, a
     same-padding correlation of the output gradient with the kernel rotated
     180 degrees and its channel axes swapped, run by ``conv2d_forward``.
     """
@@ -116,15 +135,14 @@ def conv2d_grad_input(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
         return conv2d_forward(gy, w_flip)
     gy = np.asarray(gy, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    hp, wp = h + kh - 1, wd + kw - 1
-    size = n * hp * wp
+    wp = wd + kw - 1
+    size = n * (h + kh - 1) * wp
     cols = (w.reshape(o, -1).T @ _pad_grad(gy, kh, kw)).reshape(c, kh, kw, size)
-    buf = np.zeros((c, size + (kh - 1) * wp + kw - 1))
+    buf, gx = _flat_buffer(n, c, h, wd, kh, kw)
     for i in range(kh):
         for j in range(kw):
             off = i * wp + j
             buf[:, off : off + size] += cols[:, i, j]
-    gx = buf[:, :size].reshape(c, n, hp, wp)[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd]
     return np.ascontiguousarray(gx.transpose(1, 0, 2, 3))
 
 

@@ -309,6 +309,22 @@ def _read_csv(path):
     return rows[0], [[float(v) for v in row] for row in rows[1:]]
 
 
+def _assert_csv_rows(path, header, rows):
+    got_header, got_rows = _read_csv(path)
+    assert got_header == header
+    assert len(got_rows) == len(rows)
+    for got, want in zip(got_rows, rows):
+        assert got == pytest.approx(want, rel=REL, abs=0)
+
+
+def _assert_norms(path, norms):
+    state = model.load_checkpoint(path)
+    assert list(state) == [name for name, _ in norms]
+    for name, want in norms:
+        got = float(np.linalg.norm(state[name]))
+        assert got == pytest.approx(want, rel=REL, abs=0), name
+
+
 @pytest.mark.parametrize(
     "name, header, rows",
     [
@@ -339,22 +355,6 @@ def test_rgb_training_csv_matches_pinned_values(rgb_run, name, header, rows):
 
 def test_rgb_checkpoint_norms_match_pinned_values(rgb_run):
     _assert_norms(rgb_run / "checkpoint.hvgn", RGB_CHECKPOINT_NORMS)
-
-
-def _assert_csv_rows(path, header, rows):
-    got_header, got_rows = _read_csv(path)
-    assert got_header == header
-    assert len(got_rows) == len(rows)
-    for got, want in zip(got_rows, rows):
-        assert got == pytest.approx(want, rel=REL, abs=0)
-
-
-def _assert_norms(path, norms):
-    state = model.load_checkpoint(path)
-    assert list(state) == [name for name, _ in norms]
-    for name, want in norms:
-        got = float(np.linalg.norm(state[name]))
-        assert got == pytest.approx(want, rel=REL, abs=0), name
 
 
 @pytest.fixture(scope="module")

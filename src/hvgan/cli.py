@@ -153,10 +153,13 @@ def cmd_eval(args) -> int:
 
 
 def _load_corpus(config: model.TrainConfig) -> list[ImageBuffer]:
-    """The training corpus; a ``patch_size`` that does not fit in one of its
-    images fails here, before any output is written."""
+    """The training corpus; a ``patch_size`` that is not a multiple of 4 or
+    does not fit in one of its images fails here, before any output is
+    written."""
     images = model.load_corpus(config.dataset)
     ps = config.patch_size
+    if ps % 4:
+        raise ValueError(f"patch size must be divisible by 4, got {ps}")
     for img in images:
         if ps > img.height or ps > img.width:
             raise ValueError(

@@ -348,6 +348,20 @@ class TestTrain:
         assert "patch 32x32 larger than image 24x24" in proc.stderr
         assert not (tmp_path / "big").exists()
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_patch_not_multiple_of_4_fails_before_writing(self, tmp_path, command):
+        eval_img = tmp_path / "eval.pgm"
+        save_image(ImageBuffer(np.full((1, 16, 16), 0.5)), eval_img)
+        cfg_path, _ = _train_config(
+            tmp_path, "odd", patch_size=10, pretrain_iters=0,
+            eval_list=[str(eval_img)],
+        )
+        proc = run_cli(command, "--config", str(cfg_path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "patch size must be divisible by 4, got 10" in proc.stderr
+        assert not (tmp_path / "odd").exists()
+
     def test_prints_history_path(self, tmp_path):
         cfg_path, _ = _train_config(tmp_path, "msg")
         proc = run_cli("train", "--config", str(cfg_path))

@@ -12,6 +12,11 @@ inputs and frozen weights cost no backward work.
 Every forward op validates that its result is finite and raises
 ``FloatingPointError`` otherwise, which turns silent NaN propagation into an
 immediate, located failure.
+
+No code writes into a ``.grad`` array in place: accumulation always binds a
+new array (``t.grad + g``). That lets one array serve as the gradient of
+several tensors, as when ``add`` hands the same cotangent to both operands,
+so ``_accumulate`` stores an array that a VJP passes it without copying it.
 """
 
 from __future__ import annotations
@@ -147,10 +152,16 @@ def zero_grads(params: Sequence[Tensor]) -> None:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad``. A first gradient that is a float64 array
+    owning its memory is stored as is, possibly shared with other tensors;
+    views (which may be read-only broadcasts or alias live buffers) and other
+    dtypes are copied. Later ones make a new array, never an in-place add, so
+    a shared gradient is never changed under another tensor."""
     if not t.requires_grad:  # a tensor with parents always requires grad
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        owned = isinstance(g, np.ndarray) and g.dtype == np.float64 and g.base is None
+        t.grad = g if owned else np.array(g, dtype=np.float64)
     else:
         t.grad = t.grad + g
 
@@ -306,24 +317,32 @@ def bias_add(x, b) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def leaky_relu(x, alpha: float = 0.2) -> Tensor:
+    """x where x > 0, else alpha * x, for a slope 0 <= alpha <= 1."""
     x = _as_tensor(x)
     alpha = float(alpha)
-    slope = np.where(x.data > 0.0, 1.0, alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"leaky_relu: alpha must lie in [0, 1], got {alpha}")
+    # slopes[pos] is each element's slope, gathered only when needed, so the
+    # node keeps one byte per element
+    pos = (x.data > 0.0).view(np.uint8)
+    slopes = np.array([alpha, 1.0])
 
     def vjp(g):
-        _accumulate(x, g * slope)
+        _accumulate(x, g * slopes[pos])
 
-    return _record("leaky_relu", x.data * slope, (x,), vjp)
+    # for alpha <= 1 the larger of x and alpha * x is x * slopes[pos], bit for
+    # bit (zeros keep their sign), without a data-dependent branch
+    return _record("leaky_relu", np.maximum(x.data, x.data * alpha), (x,), vjp)
 
 
 def sigmoid(x) -> Tensor:
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so
+    ``exp`` never overflows."""
     x = _as_tensor(x)
     d = x.data
-    y = np.empty_like(d)
-    pos = d >= 0.0
-    y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    y[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(d))
+    s = 1.0 + e
+    y = np.where(d >= 0.0, 1.0 / s, e / s)
 
     def vjp(g):
         _accumulate(x, g * y * (1.0 - y))
@@ -393,7 +412,7 @@ def reduce_sum(x) -> Tensor:
     x = _as_tensor(x)
 
     def vjp(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
+        _accumulate(x, np.broadcast_to(g, x.data.shape))
 
     return _record("reduce_sum", np.asarray(x.data.sum()), (x,), vjp)
 
@@ -403,7 +422,7 @@ def reduce_mean(x) -> Tensor:
     n = x.data.size
 
     def vjp(g):
-        _accumulate(x, np.broadcast_to(g / n, x.data.shape).copy())
+        _accumulate(x, np.broadcast_to(g / n, x.data.shape))
 
     return _record("reduce_mean", np.asarray(x.data.mean()), (x,), vjp)
 
@@ -416,7 +435,7 @@ def mean_spatial(x) -> Tensor:
     hw = x.data.shape[2] * x.data.shape[3]
 
     def vjp(g):
-        _accumulate(x, np.broadcast_to(g[:, :, None, None] / hw, x.data.shape).copy())
+        _accumulate(x, np.broadcast_to(g[:, :, None, None] / hw, x.data.shape))
 
     return _record("mean_spatial", x.data.mean(axis=(2, 3)), (x,), vjp)
 
@@ -431,10 +450,27 @@ def upsample_nearest(x, factor: int) -> Tensor:
             f"{x.data.shape} and {factor}"
         )
     n, c, h, w = x.data.shape
-    y = np.repeat(np.repeat(x.data, f, axis=2), f, axis=3)
+    y = np.empty((n, c, f * h, f * w))
+    for i in range(f):
+        for j in range(f):
+            y[:, :, i::f, j::f] = x.data
 
     def vjp(g):
-        _accumulate(x, g.reshape(n, c, h, f, w, f).sum(axis=(3, 5)))
+        # Each input pixel gets the sum of its f*f output taps, in the order
+        # of numpy's g.reshape(n, c, h, f, w, f).sum(axis=(3, 5)): from +0.0,
+        # add the taps of each tap row in order, then the rows in order. At
+        # w == 1 numpy runs all f*f taps of a pixel as one sum, so that case
+        # keeps the reduction (on an array with one input column).
+        if w == 1:
+            gx = g.reshape(n, c, h, f, w, f).sum(axis=(3, 5))
+        else:
+            gx = 0.0
+            for i in range(f):
+                row = g[:, :, i::f, 0::f]
+                for j in range(1, f):
+                    row = row + g[:, :, i::f, j::f]
+                gx = gx + row
+        _accumulate(x, gx)
 
     return _record("upsample_nearest", y, (x,), vjp)
 

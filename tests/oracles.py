@@ -201,3 +201,37 @@ def adam_reference(param, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         v_hat = v / (1 - beta2**t)
         p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
     return p
+
+
+def upsample_nearest_reference(x: np.ndarray, f: int) -> np.ndarray:
+    """(N,C,H,W) -> (N,C,fH,fW) pixel replication by two ``np.repeat``."""
+    return np.repeat(np.repeat(x, f, axis=2), f, axis=3)
+
+
+def upsample_nearest_vjp_reference(g: np.ndarray, f: int) -> np.ndarray:
+    """Gradient of upsample_nearest_reference: the sum of each input pixel's
+    f x f block of ``g``, as one reshape-reduction."""
+    n, c, fh, fw = g.shape
+    return g.reshape(n, c, fh // f, f, fw // f, f).sum(axis=(3, 5))
+
+
+def sigmoid_reference(d: np.ndarray) -> np.ndarray:
+    """Logistic function evaluated on each sign's half through a boolean
+    mask, so that ``exp`` only ever sees a non-positive argument."""
+    y = np.empty_like(d)
+    pos = d >= 0.0
+    y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ez = np.exp(d[~pos])
+    y[~pos] = ez / (1.0 + ez)
+    return y
+
+
+def sigmoid_vjp_reference(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of the logistic function from its output ``y``."""
+    return g * y * (1.0 - y)
+
+
+def leaky_relu_reference(x: np.ndarray, g: np.ndarray, alpha: float):
+    """(value, gradient) of leaky ReLU through a per-element slope array."""
+    slope = np.where(x > 0.0, 1.0, alpha)
+    return x * slope, g * slope

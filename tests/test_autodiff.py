@@ -4,7 +4,14 @@ import pytest
 from hvgan import autodiff as ad
 from hvgan.autodiff import Parameter, Tape, Tensor
 
-from oracles import conv2d_naive
+from oracles import (
+    conv2d_naive,
+    leaky_relu_reference,
+    sigmoid_reference,
+    sigmoid_vjp_reference,
+    upsample_nearest_reference,
+    upsample_nearest_vjp_reference,
+)
 
 
 def _grad_of(fn, arrays):
@@ -15,6 +22,19 @@ def _grad_of(fn, arrays):
         out = fn(params)
         tape.backward(out)
     return [p.grad for p in params]
+
+
+def _bits(a) -> np.ndarray:
+    """The raw float64 bit patterns, so -0.0 and 0.0 compare unequal."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _signed_zeros(rng, a: np.ndarray) -> np.ndarray:
+    """``a`` with about a third of its entries set to -0.0 or 0.0."""
+    a = a.copy()
+    a[rng.random(a.shape) < 0.2] = -0.0
+    a[rng.random(a.shape) < 0.1] = 0.0
+    return a
 
 
 class TestTensorBasics:
@@ -102,6 +122,21 @@ class TestTapeMechanics:
         # only the live factor contributes, so d/dx sum(x * const) = const = x
         assert np.allclose(p.grad, [3.0, 4.0], rtol=0, atol=1e-15)
 
+    def test_shared_gradient_is_not_changed_by_a_later_contribution(self):
+        # add hands one cotangent array to both operands; a's second
+        # contribution (from the mul recorded first, so swept last) must not
+        # change b's gradient
+        w = np.array([1.0, 2.0, 3.0])
+        scale = np.array([0.5, -1.0, 4.0])
+        a = Parameter(np.ones(3), name="a")
+        b = Parameter(np.ones(3), name="b")
+        with Tape() as tape:
+            first = ad.mul(a, Tensor(scale))
+            both = ad.add(a, b)
+            tape.backward(ad.reduce_sum(ad.mul(ad.add(both, first), Tensor(w))))
+        assert np.array_equal(b.grad, w)
+        assert np.array_equal(a.grad, w + w * scale)
+
     def test_zero_grads(self):
         p = Parameter(np.ones(2), name="w")
         p.grad = np.ones(2)
@@ -147,6 +182,55 @@ class TestForwardValues:
                          [2.0, 2.0, 3.0, 3.0],
                          [2.0, 2.0, 3.0, 3.0]])
         assert np.array_equal(out.data[0, 0], want)
+
+    # (input shape, factor): f in {1, 2, 3}, batch 1 and 4, non-square, one
+    # input column, and G's two upsample inputs at batch 4, patch 48, width 16
+    UPSAMPLE_CASES = [
+        ((4, 16, 12, 12), 2), ((4, 16, 24, 24), 2), ((1, 16, 16, 16), 2),
+        ((2, 3, 5, 7), 2), ((2, 3, 5, 7), 3), ((1, 2, 3, 4), 1),
+        ((4, 2, 7, 5), 3), ((4, 3, 6, 1), 2), ((1, 2, 4, 1), 3),
+    ]
+
+    @pytest.mark.parametrize("shape, f", UPSAMPLE_CASES)
+    def test_upsample_nearest_matches_reference_bit_for_bit(self, shape, f):
+        rng = np.random.default_rng(74)
+        x = _signed_zeros(rng, rng.standard_normal(shape))
+        n, c, h, w = shape
+        g = _signed_zeros(rng, rng.standard_normal((n, c, f * h, f * w)))
+        g[:, :, :f, :f] = -0.0  # a whole block of -0.0 sums to +0.0
+        out = ad.upsample_nearest(Tensor(x), f)
+        assert np.array_equal(_bits(out.data), _bits(upsample_nearest_reference(x, f)))
+        (gx,) = _grad_of(
+            lambda p: ad.reduce_sum(ad.mul(ad.upsample_nearest(p[0], f), Tensor(g))), [x]
+        )
+        assert np.array_equal(_bits(gx), _bits(upsample_nearest_vjp_reference(g, f)))
+
+    @pytest.mark.parametrize(
+        "d", [np.array([800.0, -800.0, 0.0, -0.0]),
+              4.0 * np.random.default_rng(75).standard_normal((4, 1, 48, 48))],
+        ids=["extremes_and_zeros", "random_4x1x48x48"],
+    )
+    def test_sigmoid_matches_reference_bit_for_bit(self, d):
+        g = np.random.default_rng(76).standard_normal(d.shape)
+        y = sigmoid_reference(d)
+        assert np.array_equal(_bits(ad.sigmoid(Tensor(d)).data), _bits(y))
+        (gd,) = _grad_of(lambda p: ad.reduce_sum(ad.mul(ad.sigmoid(p[0]), Tensor(g))), [d])
+        assert np.array_equal(_bits(gd), _bits(sigmoid_vjp_reference(g, y)))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.0])
+    def test_leaky_relu_matches_reference_bit_for_bit(self, alpha):
+        rng = np.random.default_rng(77)
+        # signed zeros and subnormals, where alpha * x rounds to zero
+        x = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, -1e-320, 2.0, -3.0],
+                            rng.standard_normal((4, 16, 12, 12)).ravel()])
+        g = _signed_zeros(rng, rng.standard_normal(x.shape))
+        g[:2] = [-0.0, 1.5]
+        want_y, want_g = leaky_relu_reference(x, g, alpha)
+        assert np.array_equal(_bits(ad.leaky_relu(Tensor(x), alpha).data), _bits(want_y))
+        (gx,) = _grad_of(
+            lambda p: ad.reduce_sum(ad.mul(ad.leaky_relu(p[0], alpha), Tensor(g))), [x]
+        )
+        assert np.array_equal(_bits(gx), _bits(want_g))
 
     def test_mean_spatial_shape_and_value(self):
         x = np.arange(24.0).reshape(2, 3, 2, 2)
@@ -200,6 +284,11 @@ class TestShapeAndDomainErrors:
         with pytest.raises(ValueError, match="bias_add"):
             ad.bias_add(Tensor(np.ones((1, 3, 2, 2))), Tensor(np.ones(2)))
 
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5])
+    def test_leaky_relu_rejects_a_slope_outside_0_1(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            ad.leaky_relu(Tensor(np.ones(2)), alpha)
+
     def test_log_raises_on_nonpositive(self):
         with pytest.raises(FloatingPointError, match="positive"):
             ad.log(Tensor(np.array([1.0, 0.0])))
@@ -240,6 +329,15 @@ class TestFiniteDiff:
         err = ad.finite_diff_check(
             lambda p: ad.reduce_sum(ad.mul(ad.conv2d(p[0], p[1]), Tensor(weight))),
             [x, ker],
+        )
+        assert err < 1e-7
+
+    def test_upsample_nearest_gradient_at_factor_3(self):
+        rng = np.random.default_rng(78)
+        weight = rng.standard_normal((2, 2, 9, 12))
+        err = ad.finite_diff_check(
+            lambda p: ad.reduce_sum(ad.mul(ad.upsample_nearest(p[0], 3), Tensor(weight))),
+            [rng.standard_normal((2, 2, 3, 4))],
         )
         assert err < 1e-7
 

@@ -14,9 +14,9 @@ Every forward op validates that its result is finite and raises
 immediate, located failure.
 
 No code writes into a ``.grad`` array in place: accumulation always binds a
-new array (``t.grad + g``). That lets one array serve as the gradient of
-several tensors, as when ``add`` hands the same cotangent to both operands,
-so ``_accumulate`` stores an array that a VJP passes it without copying it.
+new array (``t.grad + g``). So one array may serve as the gradient of several
+tensors, as when ``add`` hands the same cotangent to both operands, and
+``_accumulate`` keeps an owned array that a VJP hands it without a copy.
 """
 
 from __future__ import annotations
@@ -154,9 +154,9 @@ def zero_grads(params: Sequence[Tensor]) -> None:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` to ``t.grad``. A first gradient that is a float64 array
     owning its memory is stored as is, possibly shared with other tensors;
-    views (which may be read-only broadcasts or alias live buffers) and other
-    dtypes are copied. Later ones make a new array, never an in-place add, so
-    a shared gradient is never changed under another tensor."""
+    views (read-only broadcasts, slices of kernel buffers) and other dtypes
+    are copied. Later ones bind a new array, so a shared gradient never
+    changes under another tensor."""
     if not t.requires_grad:  # a tensor with parents always requires grad
         return
     if t.grad is None:

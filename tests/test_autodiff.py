@@ -30,7 +30,7 @@ def _bits(a) -> np.ndarray:
 
 
 def _signed_zeros(rng, a: np.ndarray) -> np.ndarray:
-    """``a`` with about a third of its entries set to -0.0 or 0.0."""
+    """``a`` with roughly 30% of its entries set to -0.0 or 0.0."""
     a = a.copy()
     a[rng.random(a.shape) < 0.2] = -0.0
     a[rng.random(a.shape) < 0.1] = 0.0

@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -21,9 +20,16 @@ import numpy as np
 
 from . import __version__, model
 from .autodiff import gradcheck_suite
-from .data_io import ImageBuffer, bicubic_downscale, load_image, read_points_csv
-from .metrics import gmsd, psnr, ssim
+from .data_io import (
+    ImageBuffer,
+    bicubic_downscale,
+    load_image,
+    read_points_csv,
+    write_atomic,
+)
+from .metrics import SSIM_WINDOW, gmsd, psnr, ssim
 from .moo import Orientation, hypervolume_exact, hypervolume_mc, pareto_filter
+from .scalarize import ScalarizationMode, scalarize
 from .synth import write_corpus
 
 GRADCHECK_GATE = 1e-4
@@ -59,16 +65,17 @@ def _read_config(path) -> tuple[model.TrainConfig, str]:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    """``header``, then one line per row. Integers (Python or numpy) and
-    strings print through ``str``, every other value as ``repr(float(v))``,
-    the shortest text that reads back to the same double."""
+    """Atomically write ``header``, then one line per row. Integers (Python
+    or numpy) and strings print through ``str``, every other value as
+    ``repr(float(v))``, the shortest text that reads back to the same
+    double."""
     lines = [header]
     for row in rows:
         lines.append(",".join(
             str(v) if isinstance(v, (int, np.integer, str)) else repr(float(v))
             for v in row
         ))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _write_manifest(
@@ -84,10 +91,9 @@ def _write_manifest(
         "config": raw_text,
         **tail,
     }
-    path = out / "manifest.json"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    write_atomic(
+        out / "manifest.json", (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +197,8 @@ def cmd_train(args) -> int:
 
 def _load_eval_pairs(paths, channels: int) -> list[tuple[ImageBuffer, ImageBuffer]]:
     """(original, x4 bicubic downscale) of every eval image, each loaded and
-    downscaled once; an image whose channel count differs from the corpus's
-    is rejected by name."""
+    downscaled once; an image whose channel count differs from the corpus's,
+    or that is smaller than SSIM's window, is rejected by name."""
     pairs = []
     for path in paths:
         img = load_image(path)
@@ -200,6 +206,11 @@ def _load_eval_pairs(paths, channels: int) -> list[tuple[ImageBuffer, ImageBuffe
             raise ValueError(
                 f"eval image {path} has {img.channels} channel(s), "
                 f"the corpus has {channels}"
+            )
+        if min(img.height, img.width) < SSIM_WINDOW:
+            raise ValueError(
+                f"eval image {path} is {img.height}x{img.width}, smaller than "
+                f"the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
             )
         pairs.append((img, bicubic_downscale(img, 4)))
     return pairs
@@ -214,6 +225,16 @@ def _evaluate_generator(g: model.GeneratorNet, eval_pairs) -> tuple[float, float
         ssims.append(ssim(sr.data, img.data))
         gmsds.append(gmsd(sr.data, img.data))
     return float(np.mean(psnrs)), float(np.mean(ssims)), float(np.mean(gmsds))
+
+
+def _normalized_history(hv_log_rows, config: model.TrainConfig) -> list[tuple]:
+    """``hv_log``'s history rows with ``scalar`` recomputed as ``hv_log_norm``,
+    by the call ``model.train_step_generator`` makes in that mode."""
+    mode, mu = ScalarizationMode("hv_log_norm"), config.resolved_mu
+    return [
+        (*row[:4], scalarize(np.array(row[1:4]), mode, mu, config.eps), *row[5:])
+        for row in hv_log_rows
+    ]
 
 
 def cmd_compare(args) -> int:
@@ -238,17 +259,25 @@ def cmd_compare(args) -> int:
     outputs = [str(shared_ckpt), str(out / "pretrain.csv")]
     rows = []
     for mode_name in COMPARE_MODES:
-        # every mode starts from the pretrained weights
-        model.set_state(params, pretrained)
-        history = model.adversarial_phase(
-            g, d, images, dataclasses.replace(config, mode=mode_name)
-        )
+        if mode_name == "hv_log_norm":
+            # hv_log_norm differs from hv_log, the mode before it, by the
+            # constant sum_k log(mu_k), so both take the gradient weights
+            # 1/max(mu_k - l_k, eps) and train the same trajectory: reuse
+            # hv_log's rows and metrics, with the normalized scalar
+            history = _normalized_history(history, config)
+        else:
+            # every trained mode starts from the pretrained weights
+            model.set_state(params, pretrained)
+            history = model.adversarial_phase(
+                g, d, images, dataclasses.replace(config, mode=mode_name)
+            )
+            metrics = _evaluate_generator(g, eval_pairs)
         history_path = out / mode_name / "history.csv"
         history_path.parent.mkdir(exist_ok=True)
         _write_csv(history_path, HISTORY_HEADER, history)
         outputs.append(str(history_path))
         clamp_events = sum(int(r[8]) for r in history)
-        rows.append((mode_name, *_evaluate_generator(g, eval_pairs), clamp_events))
+        rows.append((mode_name, *metrics, clamp_events))
 
     results_path = out / "results.csv"
     _write_csv(results_path, RESULTS_HEADER, rows)

@@ -1,4 +1,5 @@
-"""Image ingestion, bicubic downscaling, patch extraction, and CSV readers.
+"""Image ingestion, bicubic downscaling, patch extraction, CSV readers, and
+atomic file writes.
 
 Images live as planar (C,H,W) float64 buffers with values in [0,1]. On disk
 the package speaks binary PGM (P5, single channel) and PPM (P6, three
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +33,7 @@ __all__ = [
     "PatchPair",
     "load_image",
     "save_image",
+    "write_atomic",
     "bicubic_downscale",
     "nearest_upscale",
     "extract_patches",
@@ -184,6 +187,20 @@ def save_image(img: ImageBuffer, path) -> None:
         magic, payload = b"P6", q.transpose(1, 2, 0).tobytes()
     header = magic + f"\n{img.width} {img.height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + payload)
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``<path>.tmp``, then rename it over ``path``, so
+    ``path`` holds either its old bytes or all of the new ones. A failed
+    write or rename removes the temporary file and re-raises."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

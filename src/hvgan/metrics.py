@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["psnr", "ssim", "gmsd"]
+__all__ = ["SSIM_WINDOW", "psnr", "ssim", "gmsd"]
 
-_SSIM_WINDOW = 11
+SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
 _GMSD_C = 170.0 / (255.0 * 255.0)
 
@@ -63,7 +63,7 @@ def _windowed(img: np.ndarray, win: np.ndarray) -> np.ndarray:
 
 
 def _ssim_channel(a: np.ndarray, b: np.ndarray, peak: float) -> float:
-    win = _gaussian_window(_SSIM_WINDOW, _SSIM_SIGMA)
+    win = _gaussian_window(SSIM_WINDOW, _SSIM_SIGMA)
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
     mu_a = _windowed(a, win)
@@ -79,10 +79,10 @@ def _ssim_channel(a: np.ndarray, b: np.ndarray, peak: float) -> float:
 def ssim(a, b) -> float:
     """Mean structural similarity over 11x11 Gaussian (sigma 1.5) windows."""
     av, bv = _paired(a, b, "ssim")
-    if min(av.shape[1], av.shape[2]) < _SSIM_WINDOW:
+    if min(av.shape[1], av.shape[2]) < SSIM_WINDOW:
         raise ValueError(
             f"ssim: image {av.shape[1]}x{av.shape[2]} is smaller than the "
-            f"{_SSIM_WINDOW}x{_SSIM_WINDOW} window"
+            f"{SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
     return float(np.mean([_ssim_channel(av[c], bv[c], 1.0) for c in range(av.shape[0])]))
 

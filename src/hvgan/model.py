@@ -6,10 +6,12 @@ their own random streams: ``pretrain_generator(g, images, config)`` and
 ``adversarial_phase(g, d, images, config)``, which also builds the frozen
 feature extractor it uses. ``pretrain`` is the one setup that ``hvgan train``
 and ``hvgan compare`` share: on the corpus the caller loaded, it builds G and
-D and pretrains G on the pixel loss. Both then run ``adversarial_phase``,
-``train`` once and ``compare`` once per mode from the same pretrained
-weights. This module computes and returns rows; ``cli`` writes every run
-artifact, calling ``save_checkpoint`` for the checkpoint format kept here.
+D and pretrains G on the pixel loss. Both then run ``adversarial_phase``:
+``train`` once, and ``compare`` once per gradient rule from the same
+pretrained weights, for ``linear`` and for ``hv_log``, whose trajectory
+``hv_log_norm`` shares (see below). This module computes and returns rows;
+``cli`` writes every run artifact, calling ``save_checkpoint`` for the
+checkpoint format kept here.
 
 An adversarial iteration runs the generator forward once. ``fake =
 G(lr_batch)`` is recorded on a tape kept for G; the discriminator step trains
@@ -48,7 +50,13 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .data_io import ImageBuffer, augment_with_rng, load_image, random_patch_pair
+from .data_io import (
+    ImageBuffer,
+    augment_with_rng,
+    load_image,
+    random_patch_pair,
+    write_atomic,
+)
 from .losses import (
     FeatureExtractor,
     adv_loss_relativistic_g,
@@ -247,7 +255,8 @@ def set_state(params: Sequence[ad.Parameter], state: dict[str, np.ndarray]) -> N
 
 def save_checkpoint(path, params: Sequence[ad.Parameter]) -> None:
     """Flat binary: magic, version u32, count u64, then per parameter the
-    name (u16 length + bytes), rank u8, extents u64s, little-endian f64 data."""
+    name (u16 length + bytes), rank u8, extents u64s, little-endian f64 data.
+    Written atomically: ``path`` keeps its old bytes if the write fails."""
     buf = bytearray()
     buf += CHECKPOINT_MAGIC
     buf += struct.pack("<I", CHECKPOINT_VERSION)
@@ -260,7 +269,7 @@ def save_checkpoint(path, params: Sequence[ad.Parameter]) -> None:
         for extent in p.data.shape:
             buf += struct.pack("<Q", extent)
         buf += np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(buf))
+    write_atomic(path, bytes(buf))
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

@@ -11,6 +11,7 @@ import pytest
 from hvgan import cli, data_io, model
 from hvgan.data_io import ImageBuffer, save_image
 from hvgan.model import init_networks, load_checkpoint
+from hvgan.scalarize import hv_log_loss_normalized
 from hvgan.synth import write_corpus
 
 
@@ -368,10 +369,31 @@ class TestTrain:
         assert proc.stdout.startswith("wrote ")
         assert proc.stdout.strip().endswith("history.csv")
 
+    @pytest.mark.parametrize(
+        "name", ["pretrain.csv", "history.csv", "checkpoint.hvgn", "manifest.json"]
+    )
+    def test_failed_replace_keeps_the_old_artifact(self, tmp_path, monkeypatch, name):
+        cfg_path, cfg = _train_config(tmp_path, "atomic")
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "atomic"
+        old = (out / name).read_bytes()
+        # another seed changes every artifact's bytes
+        cfg_path.write_text(json.dumps({**cfg, "seed": 1}))
+        real_replace = os.replace
 
-@pytest.fixture(scope="module")
-def compare_run(tmp_path_factory):
-    tmp_path = tmp_path_factory.mktemp("compare")
+        def replace(src, dst):
+            if os.path.basename(dst) == name:
+                raise OSError(f"cannot rename onto {dst}")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert (out / name).read_bytes() == old
+        assert not (out / f"{name}.tmp").exists()
+
+
+def _compare_config(tmp_path, **over):
+    """``tmp_path/cfg.json``: a tiny compare run writing to ``tmp_path/out``."""
     corpus = tmp_path / "corpus"
     write_corpus(corpus, seed=0, count=2, size=24)
     eval_img = tmp_path / "eval.pgm"
@@ -383,9 +405,16 @@ def compare_run(tmp_path_factory):
         lr=1e-3, lr_milestones=[2], gen_width=4, disc_width=4,
         eval_list=[str(eval_img)],
     )
+    cfg.update(over)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    proc = run_cli("compare", "--config", str(cfg_path))
+    return cfg_path
+
+
+@pytest.fixture(scope="module")
+def compare_run(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("compare")
+    proc = run_cli("compare", "--config", str(_compare_config(tmp_path)))
     return tmp_path / "out", proc
 
 
@@ -432,6 +461,18 @@ class TestCompare:
         assert "absent.pgm" in proc.stderr
         assert not (tmp_path / "noimg" / "pretrained.hvgn").exists()
 
+    def test_eval_image_smaller_than_the_ssim_window_fails_before_writing(
+        self, tmp_path
+    ):
+        small = tmp_path / "small.pgm"
+        save_image(ImageBuffer(np.full((1, 8, 8), 0.5)), small)
+        cfg_path, _ = _train_config(tmp_path, "small", eval_list=[str(small)])
+        proc = run_cli("compare", "--config", str(cfg_path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert f"eval image {small} is 8x8, smaller than the 11x11" in proc.stderr
+        assert not (tmp_path / "small").exists()
+
     def test_eval_image_channel_mismatch_is_named(self, tmp_path):
         rgb = tmp_path / "rgb.ppm"
         save_image(ImageBuffer(np.full((3, 16, 16), 0.5)), rgb)
@@ -472,6 +513,76 @@ class TestCompare:
         ).read_bytes()
         assert (train_out / "history.csv").read_bytes() == (
             out / mode / "history.csv"
+        ).read_bytes()
+
+
+# Small bounds under the standard loss: the hypervolume gaps clamp at eps.
+CLAMPING = dict(adversarial="standard", norm_p=2, feature_tap="pre", mu=[1, 0.05, 0.5])
+HISTORY_COLUMNS = cli.HISTORY_HEADER.split(",")
+
+
+def _history(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+@pytest.fixture(scope="module")
+def clamping_runs(tmp_path_factory):
+    """A compare run and one train run per hypervolume mode, on one clamping
+    config: {"compare" | mode: output directory}."""
+    tmp_path = tmp_path_factory.mktemp("clamping")
+    cfg_path = _compare_config(tmp_path, adversarial_iters=4, **CLAMPING)
+    assert cli.main(["compare", "--config", str(cfg_path)]) == 0
+    runs = {"compare": tmp_path / "out"}
+    cfg = json.loads(cfg_path.read_text())
+    for mode in ("hv_log", "hv_log_norm"):
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps({**cfg, "mode": mode, "output_dir": str(tmp_path / mode)}))
+        assert cli.main(["train", "--config", str(path)]) == 0
+        runs[mode] = tmp_path / mode
+    return runs
+
+
+class TestHypervolumeModesShareOneTrajectory:
+    """``compare`` trains hv_log once and derives hv_log_norm from it. That
+    rests on both modes taking the same gradient weights, so that ``train``
+    in either mode follows one trajectory, clamped gaps included."""
+
+    def test_the_config_clamps(self, clamping_runs):
+        clamped = HISTORY_COLUMNS.index("clamped")
+        rows = _history(clamping_runs["hv_log"] / "history.csv")
+        assert sum(int(r[clamped]) for r in rows) > 0
+
+    def test_the_small_compare_fixture_clamps(self, compare_run):
+        out, _ = compare_run
+        lines = (out / "results.csv").read_text().splitlines()[1:]
+        events = {ln.split(",")[0]: int(ln.split(",")[-1]) for ln in lines}
+        assert events["hv_log"] == events["hv_log_norm"] > 0
+
+    def test_train_checkpoints_are_byte_identical(self, clamping_runs):
+        assert (clamping_runs["hv_log"] / "checkpoint.hvgn").read_bytes() == (
+            clamping_runs["hv_log_norm"] / "checkpoint.hvgn"
+        ).read_bytes()
+
+    def test_train_histories_differ_only_in_scalar(self, clamping_runs):
+        scalar = HISTORY_COLUMNS.index("scalar")
+        rows = _history(clamping_runs["hv_log"] / "history.csv")
+        norm_rows = _history(clamping_runs["hv_log_norm"] / "history.csv")
+        assert len(rows) == len(norm_rows) == 4
+        for row, norm_row in zip(rows, norm_rows):
+            del row[scalar], norm_row[scalar]
+            assert row == norm_row
+
+    def test_hv_log_norm_scalar_is_the_normalized_loss(self, clamping_runs):
+        scalar = HISTORY_COLUMNS.index("scalar")
+        losses = slice(HISTORY_COLUMNS.index("l_gan"), HISTORY_COLUMNS.index("l_fea") + 1)
+        for row in _history(clamping_runs["hv_log_norm"] / "history.csv"):
+            want = hv_log_loss_normalized([float(v) for v in row[losses]], CLAMPING["mu"])
+            assert float(row[scalar]) == want
+
+    @pytest.mark.parametrize("mode", ["hv_log", "hv_log_norm"])
+    def test_compare_writes_the_same_log_as_train(self, clamping_runs, mode):
+        assert (clamping_runs["compare"] / mode / "history.csv").read_bytes() == (
+            clamping_runs[mode] / "history.csv"
         ).read_bytes()
 
 

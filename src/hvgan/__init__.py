@@ -28,7 +28,6 @@ from .moo import (
     hypervolume_mc,
 )
 from .scalarize import (
-    ScalarizationMode,
     hv_log_loss,
     hv_log_loss_normalized,
     gradient_weights,
@@ -43,7 +42,6 @@ __all__ = [
     "pareto_filter",
     "hypervolume_exact",
     "hypervolume_mc",
-    "ScalarizationMode",
     "hv_log_loss",
     "hv_log_loss_normalized",
     "gradient_weights",

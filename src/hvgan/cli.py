@@ -29,7 +29,7 @@ from .data_io import (
 )
 from .metrics import SSIM_WINDOW, gmsd, psnr, ssim
 from .moo import Orientation, hypervolume_exact, hypervolume_mc, pareto_filter
-from .scalarize import ScalarizationMode, scalarize
+from .scalarize import scalarize
 from .synth import write_corpus
 
 GRADCHECK_GATE = 1e-4
@@ -230,9 +230,9 @@ def _evaluate_generator(g: model.GeneratorNet, eval_pairs) -> tuple[float, float
 def _normalized_history(hv_log_rows, config: model.TrainConfig) -> list[tuple]:
     """``hv_log``'s history rows with ``scalar`` recomputed as ``hv_log_norm``,
     by the call ``model.train_step_generator`` makes in that mode."""
-    mode, mu = ScalarizationMode("hv_log_norm"), config.resolved_mu
+    mu, eps = config.resolved_mu, config.eps
     return [
-        (*row[:4], scalarize(np.array(row[1:4]), mode, mu, config.eps), *row[5:])
+        (*row[:4], scalarize(np.array(row[1:4]), "hv_log_norm", mu, eps), *row[5:])
         for row in hv_log_rows
     ]
 
@@ -305,6 +305,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed: must be a non-negative integer, got {args.seed}")
     paths = write_corpus(args.out, args.seed, args.count, args.size)
     print(f"wrote {len(paths)} images to {args.out}")
     return 0

@@ -6,14 +6,13 @@ the package speaks binary PGM (P5, single channel) and PPM (P6, three
 channel) with maxval 255: both are fully specified byte formats, so
 round-trip behaviour is testable to the bit.
 
-A buffer is validated once, where it enters: public ``ImageBuffer(...)``
-construction, which ``load_image``, ``model.apply_generator`` and ``synth``
-go through, checks shape, finiteness and range and keeps a read-only copy.
-Crops (``random_patch_pair``), clipped downscales (``bicubic_downscale``),
-flips and quarter-turns (``augment_with_rng``) and ``nearest_upscale`` of a
-valid buffer are valid by construction, so they wrap their result without
-checks or a copy. The bicubic weight matrix of each ``(n_in, factor)`` is
-built once and cached.
+Every ``ImageBuffer`` is checked on construction (shape, finiteness, range)
+and keeps a read-only copy of its pixels; ``load_image``,
+``bicubic_downscale``, ``nearest_upscale``, ``model.apply_generator`` and
+``synth`` all build one. Training patches are plain (C,H,W) arrays:
+``random_patch_pair`` crops a view of an image's read-only pixels and
+downscales it, and ``augment_with_rng`` flips and turns both as views. The
+bicubic weight matrix of each ``(n_in, factor)`` is built once and cached.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .moo import Orientation, PointSet
 
 __all__ = [
     "ImageBuffer",
-    "PatchPair",
     "load_image",
     "save_image",
     "write_atomic",
@@ -50,11 +48,7 @@ class ImageBuffer:
     """Planar (C,H,W) double-precision image with all values in [0,1]. The
     buffer keeps a read-only copy of the pixels it is given, so the caller's
     array stays writable and later writes to it do not reach the buffer.
-
-    Construction checks shape, finiteness and range. The crops, clipped
-    downscales, flips, rotations and upscales in this module derive valid
-    buffers from valid ones and build them through ``_derived``, which skips
-    the checks and the copy; ``data`` is read-only either way."""
+    Construction checks shape, finiteness and range."""
 
     data: np.ndarray
 
@@ -78,15 +72,6 @@ class ImageBuffer:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    @classmethod
-    def _derived(cls, data: np.ndarray) -> ImageBuffer:
-        """Wrap (C,H,W) pixels derived from a valid buffer by an operation
-        that keeps them in [0,1]: no checks, no copy, marked read-only."""
-        buf = object.__new__(cls)
-        data.setflags(write=False)
-        object.__setattr__(buf, "data", data)
-        return buf
-
     @property
     def channels(self) -> int:
         return self.data.shape[0]
@@ -98,25 +83,6 @@ class ImageBuffer:
     @property
     def width(self) -> int:
         return self.data.shape[2]
-
-
-@dataclass(frozen=True)
-class PatchPair:
-    """An aligned LR/HR patch pair; HR extents are exactly 4x the LR ones."""
-
-    lr: ImageBuffer
-    hr: ImageBuffer
-    top_left: tuple
-
-    def __post_init__(self):
-        if (
-            self.hr.height != 4 * self.lr.height
-            or self.hr.width != 4 * self.lr.width
-            or self.hr.channels != self.lr.channels
-        ):
-            raise ValueError(
-                f"PatchPair: HR {self.hr.data.shape} is not 4x LR {self.lr.data.shape}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +205,14 @@ def _bicubic_matrix(n_in: int, factor: int) -> np.ndarray:
     return mat
 
 
+def _downscale(data: np.ndarray, factor: int) -> np.ndarray:
+    """``wh @ data @ ww.T`` of (C,H,W) pixels whose H and W ``factor``
+    divides, clipped back into [0,1]."""
+    wh = _bicubic_matrix(data.shape[1], factor)
+    ww = _bicubic_matrix(data.shape[2], factor)
+    return np.clip(wh @ data @ ww.T, 0.0, 1.0)
+
+
 def bicubic_downscale(img: ImageBuffer, factor: int = 4) -> ImageBuffer:
     """Separable Keys bicubic downscale; output clamped back into [0,1]."""
     factor = int(factor)
@@ -249,10 +223,7 @@ def bicubic_downscale(img: ImageBuffer, factor: int = 4) -> ImageBuffer:
             f"bicubic_downscale: dimensions {img.height}x{img.width} not "
             f"divisible by {factor}"
         )
-    wh = _bicubic_matrix(img.height, factor)
-    ww = _bicubic_matrix(img.width, factor)
-    out = wh @ img.data @ ww.T
-    return ImageBuffer._derived(np.clip(out, 0.0, 1.0))
+    return ImageBuffer(_downscale(img.data, factor))
 
 
 def nearest_upscale(img: ImageBuffer, factor: int = 4) -> ImageBuffer:
@@ -260,8 +231,7 @@ def nearest_upscale(img: ImageBuffer, factor: int = 4) -> ImageBuffer:
     factor = int(factor)
     if factor < 1:
         raise ValueError(f"nearest_upscale: factor must be >= 1, got {factor}")
-    data = np.repeat(np.repeat(img.data, factor, axis=1), factor, axis=2)
-    return ImageBuffer._derived(data)
+    return ImageBuffer(np.repeat(np.repeat(img.data, factor, axis=1), factor, axis=2))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +240,10 @@ def nearest_upscale(img: ImageBuffer, factor: int = 4) -> ImageBuffer:
 
 def random_patch_pair(
     img: ImageBuffer, patch_size: int, rng: np.random.Generator
-) -> PatchPair:
-    """One random HR crop plus its bicubic x4 downscale (rng-stream driven)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """One random HR crop, a read-only view of ``img``'s pixels, and its
+    bicubic x4 downscale, as ``(lr, hr)`` (C,H,W) arrays (rng-stream
+    driven)."""
     ps = int(patch_size)
     if ps % 4:
         raise ValueError(f"patch size must be divisible by 4, got {ps}")
@@ -281,43 +253,44 @@ def random_patch_pair(
         )
     top = int(rng.integers(0, img.height - ps + 1))
     left = int(rng.integers(0, img.width - ps + 1))
-    hr = ImageBuffer._derived(img.data[:, top : top + ps, left : left + ps])
-    return PatchPair(bicubic_downscale(hr, 4), hr, (top, left))
+    hr = img.data[:, top : top + ps, left : left + ps]
+    return _downscale(hr, 4), hr
 
 
 def extract_patches(
     img: ImageBuffer, patch_size: int, count: int, seed
-) -> list[PatchPair]:
-    """Seeded uniform-random patch pairs; count 0 gives an empty list."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Seeded uniform-random ``(lr, hr)`` patch pairs; count 0 gives an
+    empty list."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     return [random_patch_pair(img, patch_size, rng) for _ in range(int(count))]
 
 
-def augment_with_rng(pair: PatchPair, rng: np.random.Generator) -> PatchPair:
-    """Random horizontal flip then k*90 degree rotation, same for LR and HR."""
+def augment_with_rng(
+    lr: np.ndarray, hr: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Random horizontal flip then k*90 degree rotation, same for LR and HR;
+    returns views of both."""
     flip = bool(rng.random() < 0.5)
     k = int(rng.integers(0, 4))
-    if k % 2 and (
-        pair.hr.height != pair.hr.width or pair.lr.height != pair.lr.width
-    ):
+    if k % 2 and (hr.shape[1] != hr.shape[2] or lr.shape[1] != lr.shape[2]):
         raise ValueError(
             f"augment: odd quarter-turn needs square patches, got HR "
-            f"{pair.hr.height}x{pair.hr.width}"
+            f"{hr.shape[1]}x{hr.shape[2]}"
         )
 
-    def apply(buf: ImageBuffer) -> ImageBuffer:
-        data = buf.data
+    def apply(data: np.ndarray) -> np.ndarray:
         if flip:
             data = data[:, :, ::-1]
-        return ImageBuffer._derived(np.rot90(data, k, axes=(1, 2)))
+        return np.rot90(data, k, axes=(1, 2))
 
-    return PatchPair(apply(pair.lr), apply(pair.hr), pair.top_left)
+    return apply(lr), apply(hr)
 
 
-def augment(pair: PatchPair, seed) -> PatchPair:
-    return augment_with_rng(pair, np.random.default_rng(seed))
+def augment(lr: np.ndarray, hr: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
+    return augment_with_rng(lr, hr, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------

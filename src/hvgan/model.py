@@ -68,7 +68,6 @@ from .losses import (
 from .scalarize import (
     DEFAULT_EPS,
     MODE_KINDS,
-    ScalarizationMode,
     clamp_flags,
     gradient_weights,
     scalarize,
@@ -300,8 +299,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             state[name] = data.reshape(shape).astype(np.float64)
     except struct.error:
         raise ValueError(f"{path}: truncated checkpoint") from None
-    if offset > len(blob):
-        raise ValueError(f"{path}: truncated checkpoint")
+    if offset != len(blob):
+        raise ValueError(
+            f"{path}: {len(blob) - offset} trailing bytes after the last parameter"
+        )
     return state
 
 
@@ -418,11 +419,6 @@ class TrainConfig:
     def resolved_mu(self) -> tuple:
         return self.mu if self.mu is not None else _DEFAULT_MU[self.adversarial]
 
-    def mode_obj(self) -> ScalarizationMode:
-        if self.mode == "linear":
-            return ScalarizationMode("linear", self.baseline_weights)
-        return ScalarizationMode(self.mode)
-
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
         if not isinstance(raw, dict):
@@ -470,10 +466,9 @@ def _draw_batch(
     lrs, hrs = [], []
     for _ in range(batch_size):
         img = images[int(rng.integers(0, len(images)))]
-        pair = random_patch_pair(img, patch_size, rng)
-        pair = augment_with_rng(pair, rng)
-        lrs.append(pair.lr.data)
-        hrs.append(pair.hr.data)
+        lr, hr = augment_with_rng(*random_patch_pair(img, patch_size, rng), rng)
+        lrs.append(lr)
+        hrs.append(hr)
     return np.stack(lrs), np.stack(hrs)
 
 
@@ -549,7 +544,6 @@ def train_step_generator(
     into the parameters ``opt`` updates. The discriminator is frozen for the
     step (no gradients of its own, see the module docstring) and never
     updated."""
-    mode = config.mode_obj()
     mu, eps, p = config.resolved_mu, config.eps, config.norm_p
     with _frozen(d.params()), tape:
         hr_t = ad.Tensor(hr_batch)
@@ -562,13 +556,15 @@ def train_step_generator(
         l_pix = pixel_loss(fake, hr_t, p)
         l_fea = feature_loss(fake, hr_t, extractor, p)
         losses = np.array([l_gan.item(), l_pix.item(), l_fea.item()])
-        if mode.kind == "linear":
-            weights = np.array(mode.weights, dtype=np.float64)
+        if config.mode == "linear":
+            fixed = config.baseline_weights
+            weights = np.array(fixed, dtype=np.float64)
             clamped = 0
         else:
+            fixed = None
             weights = gradient_weights(losses, mu, eps)
             clamped = int(clamp_flags(losses, mu, eps).sum())
-        scalar = scalarize(losses, mode, mu, eps)
+        scalar = scalarize(losses, config.mode, mu, eps, fixed)
         total = ad.add(
             ad.add(
                 ad.scalar_mul(l_gan, weights[0]), ad.scalar_mul(l_pix, weights[1])

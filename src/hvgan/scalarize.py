@@ -18,7 +18,6 @@ combination of losses is included as the conventional baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +25,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_EPS",
     "MODE_KINDS",
-    "ScalarizationMode",
     "hv_log_loss",
     "hv_log_loss_normalized",
     "gradient_weights",
@@ -38,27 +36,6 @@ __all__ = [
 DEFAULT_EPS = 1e-6
 
 MODE_KINDS = ("hv_log", "hv_log_norm", "linear")
-
-
-@dataclass(frozen=True)
-class ScalarizationMode:
-    """Scalarizer selector: hypervolume log, its normalized twin, or fixed weights."""
-
-    kind: str
-    weights: tuple | None = None
-
-    def __post_init__(self):
-        if self.kind not in MODE_KINDS:
-            raise ValueError(f"mode kind must be one of {MODE_KINDS}, got {self.kind!r}")
-        if self.kind == "linear":
-            if self.weights is None:
-                raise ValueError("linear mode requires fixed weights")
-            ws = tuple(float(w) for w in self.weights)
-            if any(w < 0 or not math.isfinite(w) for w in ws):
-                raise ValueError(f"linear weights must be finite and >= 0, got {ws}")
-            object.__setattr__(self, "weights", ws)
-        elif self.weights is not None:
-            raise ValueError(f"mode {self.kind!r} takes no weights")
 
 
 def _validate(l: Sequence[float], mu: Sequence[float], eps: float) -> tuple:
@@ -118,10 +95,16 @@ def linear_fixed(l, w) -> float:
     return float(np.dot(wv, lv))
 
 
-def scalarize(l, mode: ScalarizationMode, mu=None, eps: float = DEFAULT_EPS) -> float:
-    """Dispatch the loss vector through the selected scalarizer."""
-    if mode.kind == "hv_log":
+def scalarize(l, mode: str, mu=None, eps: float = DEFAULT_EPS, weights=None) -> float:
+    """Dispatch the loss vector through the scalarizer named ``mode``, one of
+    ``MODE_KINDS``: the hypervolume modes read ``mu`` and ``eps``, ``linear``
+    reads the fixed ``weights``."""
+    if mode not in MODE_KINDS:
+        raise ValueError(f"mode must be one of {MODE_KINDS}, got {mode!r}")
+    if mode == "linear":
+        return linear_fixed(l, weights)
+    if weights is not None:
+        raise ValueError(f"mode {mode!r} takes no weights")
+    if mode == "hv_log":
         return hv_log_loss(l, mu, eps)
-    if mode.kind == "hv_log_norm":
-        return hv_log_loss_normalized(l, mu, eps)
-    return linear_fixed(l, mode.weights)
+    return hv_log_loss_normalized(l, mu, eps)

@@ -623,6 +623,13 @@ class TestSynthCommand:
         assert "count" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_named_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert cli.main(["synth", "--out", str(out), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "--seed: must be a non-negative integer, got -1" in err
+        assert not out.exists()
+
 
 class TestMisc:
     def test_version(self):

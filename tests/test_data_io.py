@@ -5,7 +5,6 @@ from hvgan import autodiff as ad
 from hvgan import model
 from hvgan.data_io import (
     ImageBuffer,
-    PatchPair,
     augment,
     augment_with_rng,
     bicubic_downscale,
@@ -71,14 +70,6 @@ class TestImageBuffer:
         )
         with pytest.raises(ValueError, match="ImageBuffer: values must be finite"):
             model.apply_generator(g, ImageBuffer(np.full((1, 8, 8), 0.5)))
-
-    def test_patch_pair_enforces_factor_four(self):
-        hr = ImageBuffer(np.zeros((1, 8, 8)))
-        lr_ok = ImageBuffer(np.zeros((1, 2, 2)))
-        PatchPair(lr_ok, hr, (0, 0))
-        lr_bad = ImageBuffer(np.zeros((1, 3, 3)))
-        with pytest.raises(ValueError, match="not 4x"):
-            PatchPair(lr_bad, hr, (0, 0))
 
 
 class TestPgmPpm:
@@ -227,36 +218,38 @@ class TestPatches:
         assert extract_patches(_random_image(20), 8, 0, seed=0) == []
 
     def test_pairs_satisfy_factor_invariant(self):
-        for pair in extract_patches(_random_image(21, h=32, w=32), 16, 5, seed=1):
-            assert pair.hr.height == 4 * pair.lr.height
-            assert pair.hr.width == 4 * pair.lr.width
+        for lr, hr in extract_patches(_random_image(21, h=32, w=32), 16, 5, seed=1):
+            assert hr.shape == (1, 16, 16)
+            assert hr.shape[1] == 4 * lr.shape[1]
+            assert hr.shape[2] == 4 * lr.shape[2]
 
     def test_lr_is_the_bicubic_downscale_of_hr(self):
-        (pair,) = extract_patches(_random_image(22, h=24, w=24), 16, 1, seed=2)
-        want = bicubic_downscale(pair.hr, 4)
-        assert np.array_equal(pair.lr.data, want.data)
+        ((lr, hr),) = extract_patches(_random_image(22, h=24, w=24), 16, 1, seed=2)
+        want = bicubic_downscale(ImageBuffer(hr), 4)
+        assert np.array_equal(lr, want.data)
+
+    def test_hr_is_a_read_only_view_of_the_image(self):
+        img = _random_image(27, h=32, w=32)
+        _, hr = random_patch_pair(img, 16, np.random.default_rng(0))
+        assert np.shares_memory(hr, img.data)
+        with pytest.raises(ValueError):
+            hr[0, 0, 0] = 0.5
 
     def test_seed_reproducibility(self):
         img = _random_image(23, h=32, w=32)
         a = extract_patches(img, 8, 10, seed=7)
         b = extract_patches(img, 8, 10, seed=7)
-        assert [p.top_left for p in a] == [p.top_left for p in b]
+        for (lr_a, hr_a), (lr_b, hr_b) in zip(a, b, strict=True):
+            assert np.array_equal(hr_a, hr_b)
+            assert np.array_equal(lr_a, lr_b)
 
     def test_coordinates_cover_the_range(self):
-        img = _random_image(24, h=20, w=20)
-        tops = {p.top_left[0] for p in extract_patches(img, 8, 200, seed=3)}
+        # row i holds i/32 exactly, so a crop's first pixel gives its top row
+        rows = np.arange(20, dtype=np.float64) / 32.0
+        img = ImageBuffer(np.broadcast_to(rows[None, :, None], (1, 20, 20)))
+        pairs = extract_patches(img, 8, 200, seed=3)
+        tops = {int(hr[0, 0, 0] * 32.0) for _, hr in pairs}
         assert min(tops) == 0 and max(tops) == 12
-
-    def test_derived_buffers_are_read_only(self):
-        pair = random_patch_pair(_random_image(27, h=32, w=32), 16,
-                                 np.random.default_rng(0))
-        for seed in range(8):
-            out = augment_with_rng(pair, np.random.default_rng(seed))
-            bufs = (pair.hr, pair.lr, out.hr, out.lr, nearest_upscale(pair.lr, 2))
-            for buf in bufs:
-                assert not buf.data.flags.writeable
-                with pytest.raises(ValueError):
-                    buf.data[0, 0, 0] = 0.5
 
     def test_patch_too_large_rejected(self):
         with pytest.raises(ValueError, match="larger than image"):
@@ -275,16 +268,16 @@ class TestAugment:
         return extract_patches(img, size, 1, seed=seed)[0]
 
     def test_identity_seed_returns_unchanged(self):
-        pair = self._pair(30)
+        lr, hr = self._pair(30)
         for seed in range(200):
             rng = np.random.default_rng(seed)
             if rng.random() < 0.5:
                 continue
             if int(rng.integers(0, 4)) != 0:
                 continue
-            out = augment(pair, seed)
-            assert np.array_equal(out.hr.data, pair.hr.data)
-            assert np.array_equal(out.lr.data, pair.lr.data)
+            out_lr, out_hr = augment(lr, hr, seed)
+            assert np.array_equal(out_hr, hr)
+            assert np.array_equal(out_lr, lr)
             break
         else:
             pytest.fail("no identity seed found in 200 draws")
@@ -304,29 +297,29 @@ class TestAugment:
 
         out = pair
         for _ in range(4):
-            out = augment_with_rng(out, FixedRng(False, 1))
-        assert np.array_equal(out.hr.data, pair.hr.data)
+            out = augment_with_rng(*out, FixedRng(False, 1))
+        assert np.array_equal(out[1], pair[1])
 
     def test_downscale_commutes_with_augmentation(self):
         pair = self._pair(32)
         for seed in range(10):
-            out = augment(pair, seed)
-            direct = bicubic_downscale(out.hr, 4)
-            assert np.allclose(out.lr.data, direct.data, rtol=0, atol=1e-12)
+            lr, hr = augment(*pair, seed)
+            direct = bicubic_downscale(ImageBuffer(hr), 4)
+            assert np.allclose(lr, direct.data, rtol=0, atol=1e-12)
 
     def test_odd_rotation_of_non_square_rejected(self):
         img = _random_image(33, h=8, w=16)
-        hr = ImageBuffer(img.data[:, :8, :16])
-        pair = PatchPair(bicubic_downscale(hr, 4), hr, (0, 0))
+        hr = img.data[:, :8, :16]
+        lr = bicubic_downscale(ImageBuffer(hr), 4).data
         with pytest.raises(ValueError, match="square"):
             for seed in range(100):
-                augment(pair, seed)
+                augment(lr, hr, seed)
 
     def test_seeded_determinism(self):
         pair = self._pair(34)
-        a = augment(pair, 99)
-        b = augment(pair, 99)
-        assert np.array_equal(a.hr.data, b.hr.data)
+        a = augment(*pair, 99)
+        b = augment(*pair, 99)
+        assert np.array_equal(a[1], b[1])
 
 
 class TestPointsCsv:
@@ -372,6 +365,6 @@ class TestPipelineInvariant:
         for trial in range(20):
             img = ImageBuffer(rng.uniform(size=(1, 32, 32)))
             pair = extract_patches(img, 16, 1, seed=trial)[0]
-            out = augment(pair, trial)
-            for buf in (out.lr, out.hr, nearest_upscale(out.lr, 4)):
-                assert buf.data.min() >= 0.0 and buf.data.max() <= 1.0
+            lr, hr = augment(*pair, trial)
+            for arr in (lr, hr, nearest_upscale(ImageBuffer(lr), 4).data):
+                assert arr.min() >= 0.0 and arr.max() <= 1.0

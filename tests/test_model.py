@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from hvgan.model import (
     train_step_discriminator,
     train_step_generator,
 )
-from hvgan.scalarize import ScalarizationMode
 from hvgan.synth import make_corpus, write_corpus
 
 from oracles import adam_reference
@@ -241,6 +241,15 @@ class TestStateAndCheckpoints:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        g, _ = _tiny_nets()
+        path = tmp_path / "t.hvgn"
+        save_checkpoint(path, g.params())
+        path.write_bytes(path.read_bytes() + bytes(24))
+        want = f"{re.escape(str(path))}: 24 trailing bytes"
+        with pytest.raises(ValueError, match=want):
+            load_checkpoint(path)
+
 
 class TestTrainConfig:
     def test_minimal_construction_uses_defaults(self):
@@ -257,15 +266,6 @@ class TestTrainConfig:
         assert std.resolved_mu == (200.0, 0.1, 10.0)
         over = TrainConfig(dataset="d", output_dir="o", mu=(1.0, 2.0, 3.0))
         assert over.resolved_mu == (1.0, 2.0, 3.0)
-
-    def test_mode_obj_carries_linear_weights(self):
-        cfg = TrainConfig(
-            dataset="d", output_dir="o", mode="linear",
-            baseline_weights=(1.0, 0.0, 0.0),
-        )
-        mode = cfg.mode_obj()
-        assert isinstance(mode, ScalarizationMode)
-        assert mode.weights == (1.0, 0.0, 0.0)
 
     def test_from_dict_rejects_unknown_keys_by_name(self):
         with pytest.raises(ValueError, match="unknown config key\\(s\\): foo"):

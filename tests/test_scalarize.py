@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from hvgan.moo import Orientation, PointSet, hypervolume_exact
 from hvgan.scalarize import (
     DEFAULT_EPS,
-    ScalarizationMode,
+    MODE_KINDS,
     clamp_flags,
     gradient_weights,
     hv_log_loss,
@@ -163,30 +164,32 @@ class TestLinearFixed:
 
 class TestScalarizeDispatch:
     def test_hv_log_mode(self):
-        mode = ScalarizationMode("hv_log")
-        assert scalarize([0.0, 0.0], mode, [1.0, 1.0]) == 0.0
+        assert scalarize([0.0, 0.0], "hv_log", [1.0, 1.0]) == 0.0
 
     def test_linear_mode(self):
-        mode = ScalarizationMode("linear", (1.0, 1.0))
-        assert scalarize([1.0, 2.0], mode) == 3.0
+        assert scalarize([1.0, 2.0], "linear", weights=(1.0, 1.0)) == 3.0
 
     def test_normalized_mode(self):
-        mode = ScalarizationMode("hv_log_norm")
-        assert scalarize([0.5], mode, [1.0]) == pytest.approx(
+        assert scalarize([0.5], "hv_log_norm", [1.0]) == pytest.approx(
             -math.log(0.5), rel=1e-12
         )
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="mode kind"):
-            ScalarizationMode("geometric")
+        with pytest.raises(ValueError, match=re.escape(f"one of {MODE_KINDS}")):
+            scalarize([0.0], "geometric", [1.0])
 
     def test_linear_requires_weights(self):
         with pytest.raises(ValueError, match="weights"):
-            ScalarizationMode("linear")
+            scalarize([1.0], "linear")
+
+    def test_negative_linear_weights_rejected(self):
+        with pytest.raises(ValueError, match="weights must be finite and >= 0"):
+            scalarize([1.0, 2.0], "linear", weights=(1.0, -0.5))
 
     def test_hv_modes_take_no_weights(self):
-        with pytest.raises(ValueError, match="no weights"):
-            ScalarizationMode("hv_log", (1.0,))
+        for mode in ("hv_log", "hv_log_norm"):
+            with pytest.raises(ValueError, match="no weights"):
+                scalarize([0.0], mode, [1.0], weights=(1.0,))
 
     def test_default_eps_value(self):
         assert DEFAULT_EPS == 1e-6

@@ -9,6 +9,13 @@ closure fires. The linear ops (``matmul``, ``conv2d``, ``bias_add``) compute
 a parent's gradient only when that parent requires gradients, so constant
 inputs and frozen weights cost no backward work.
 
+There is one primitive per operation: ``add``, ``sub``, ``mul``, ``matmul``,
+``conv2d``, ``bias_add``, ``leaky_relu``, ``sigmoid``, ``log``, ``absolute``,
+``square``, ``clip``, ``reduce_sum``, ``reduce_mean``, ``mean_spatial`` and
+``upsample_nearest``. ``add``, ``sub`` and ``mul`` take a Python float on
+either side, so ``mul(x, c)`` scales and ``sub(1.0, p)`` complements in one
+tape node.
+
 Every forward op validates that its result is finite and raises
 ``FloatingPointError`` otherwise, which turns silent NaN propagation into an
 immediate, located failure.
@@ -35,15 +42,12 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "scalar_add",
-    "scalar_mul",
     "matmul",
     "conv2d",
     "bias_add",
     "leaky_relu",
     "sigmoid",
     "log",
-    "exp",
     "absolute",
     "square",
     "clip",
@@ -186,8 +190,9 @@ def _record(opname: str, data: np.ndarray, parents: tuple, vjp: Callable) -> Ten
 
 
 def _scalar_side_grad(t: Tensor, g: np.ndarray) -> np.ndarray:
-    """Reduce a broadcast cotangent back to a ()-shaped operand."""
-    return np.sum(g) if t.data.shape == () else g
+    """Reduce a broadcast cotangent back to a ()-shaped operand. A ()-shaped
+    cotangent passes as is, since ``np.sum(-0.0)`` is +0.0."""
+    return np.sum(g) if t.data.shape == () and np.ndim(g) else g
 
 
 def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> None:
@@ -233,26 +238,6 @@ def mul(a, b) -> Tensor:
         _accumulate(b, _scalar_side_grad(b, g * a.data))
 
     return _record("mul", a.data * b.data, (a, b), vjp)
-
-
-def scalar_add(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    c = float(c)
-
-    def vjp(g):
-        _accumulate(a, g)
-
-    return _record("scalar_add", a.data + c, (a,), vjp)
-
-
-def scalar_mul(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    c = float(c)
-
-    def vjp(g):
-        _accumulate(a, g * c)
-
-    return _record("scalar_mul", a.data * c, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +344,6 @@ def log(x) -> Tensor:
         _accumulate(x, g / x.data)
 
     return _record("log", np.log(x.data), (x,), vjp)
-
-
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
-    with np.errstate(over="ignore"):
-        y = np.exp(x.data)  # overflow surfaces as FloatingPointError below
-
-    def vjp(g):
-        _accumulate(x, g * y)
-
-    return _record("exp", y, (x,), vjp)
 
 
 def absolute(x) -> Tensor:
@@ -497,23 +471,23 @@ def finite_diff_check(
         np.zeros_like(p.data) if p.grad is None else np.array(p.grad) for p in params
     ]
 
-    def value_at(arr_list):
+    probe = [a.copy() for a in arrays]  # probed in place, one coordinate at a time
+
+    def value():
         # plain Tensors: nothing requires grad, so no tape is needed
-        return float(fn([Tensor(a) for a in arr_list]).data)
+        return float(fn([Tensor(a) for a in probe]).data)
 
     worst = 0.0
-    for i, a in enumerate(arrays):
-        flat = a.copy().ravel()
+    for i, a in enumerate(probe):
+        flat = a.reshape(-1)  # a view: a fresh copy is C-contiguous
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
-            hi_args = [x.copy() for x in arrays]
-            hi_args[i] = flat.reshape(a.shape).copy()
+            hi = value()
             flat[j] = orig - step
-            lo_args = [x.copy() for x in arrays]
-            lo_args[i] = flat.reshape(a.shape).copy()
+            lo = value()
             flat[j] = orig
-            numeric = (value_at(hi_args) - value_at(lo_args)) / (2.0 * step)
+            numeric = (hi - lo) / (2.0 * step)
             err = abs(numeric - analytic[i].ravel()[j]) / max(1.0, abs(numeric))
             worst = max(worst, err)
     return worst
@@ -543,10 +517,6 @@ PRIMITIVES: dict[str, Callable[[int], tuple]] = {
                       _rng_arrays(_s(s, 2), (3, 4), (3, 4))),
     "mul": lambda s: (lambda p: reduce_sum(mul(p[0], p[1])),
                       _rng_arrays(_s(s, 3), (3, 4), (3, 4))),
-    "scalar_add": lambda s: (lambda p: reduce_sum(square(scalar_add(p[0], 1.5))),
-                             _rng_arrays(_s(s, 4), (5,))),
-    "scalar_mul": lambda s: (lambda p: reduce_sum(square(scalar_mul(p[0], -2.5))),
-                             _rng_arrays(_s(s, 5), (5,))),
     "scalar_broadcast": lambda s: (
         lambda p: reduce_sum(square(sub(p[0], reduce_mean(p[1])))),
         _rng_arrays(_s(s, 6), (4, 1), (4, 1))),
@@ -562,8 +532,6 @@ PRIMITIVES: dict[str, Callable[[int], tuple]] = {
                           _rng_arrays(_s(s, 11), (4, 5))),
     "log": lambda s: (lambda p: reduce_sum(square(log(p[0]))),
                       [np.abs(_rng_arrays(_s(s, 12), (4, 5))[0]) + 0.5]),
-    "exp": lambda s: (lambda p: reduce_sum(square(exp(p[0]))),
-                      _rng_arrays(_s(s, 13), (4, 5))),
     "absolute": lambda s: (lambda p: reduce_sum(square(absolute(p[0]))),
                            [_away_from(_rng_arrays(_s(s, 14), (4, 5))[0])]),
     "square": lambda s: (lambda p: reduce_sum(square(p[0])),

@@ -181,12 +181,13 @@ def cmd_train(args) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     g, d, pre_rows = model.pretrain(config, images)
+    # written before the adversarial phase, so a failure there keeps it
+    pretrain_path = out / "pretrain.csv"
+    _write_csv(pretrain_path, PRETRAIN_HEADER, pre_rows)
     history = model.adversarial_phase(g, d, images, config)
 
-    pretrain_path = out / "pretrain.csv"
     history_path = out / "history.csv"
     checkpoint_path = out / "checkpoint.hvgn"
-    _write_csv(pretrain_path, PRETRAIN_HEADER, pre_rows)
     _write_csv(history_path, HISTORY_HEADER, history)
     model.save_checkpoint(checkpoint_path, g.params() + d.params())
     outputs = [str(pretrain_path), str(history_path), str(checkpoint_path)]

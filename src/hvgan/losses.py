@@ -84,15 +84,15 @@ def disc_loss(logits_real: ad.Tensor, logits_fake: ad.Tensor) -> ad.Tensor:
     p_real = ad.sigmoid(logits_real)
     p_fake = ad.sigmoid(logits_fake)
     t_real = ad.reduce_mean(_clamped_log(p_real))
-    t_fake = ad.reduce_mean(_clamped_log(ad.scalar_add(ad.scalar_mul(p_fake, -1.0), 1.0)))
-    return ad.scalar_mul(ad.add(t_real, t_fake), -1.0)
+    t_fake = ad.reduce_mean(_clamped_log(ad.sub(1.0, p_fake)))
+    return ad.mul(ad.add(t_real, t_fake), -1.0)
 
 
 def adv_loss_standard_g(logits_fake: ad.Tensor) -> ad.Tensor:
     """-mean log sigma(fake): the conventional generator objective."""
     _check_batch(logits_fake, "adv_loss_standard_g")
     p_fake = ad.sigmoid(logits_fake)
-    return ad.scalar_mul(ad.reduce_mean(_clamped_log(p_fake)), -1.0)
+    return ad.mul(ad.reduce_mean(_clamped_log(p_fake)), -1.0)
 
 
 def adv_loss_relativistic_g(logits_real: ad.Tensor, logits_fake: ad.Tensor) -> ad.Tensor:
@@ -110,9 +110,9 @@ def adv_loss_relativistic_g(logits_real: ad.Tensor, logits_fake: ad.Tensor) -> a
         )
     d_real = ad.sigmoid(ad.sub(logits_real, ad.reduce_mean(logits_fake)))
     d_fake = ad.sigmoid(ad.sub(logits_fake, ad.reduce_mean(logits_real)))
-    t_real = ad.reduce_mean(_clamped_log(ad.scalar_add(ad.scalar_mul(d_real, -1.0), 1.0)))
+    t_real = ad.reduce_mean(_clamped_log(ad.sub(1.0, d_real)))
     t_fake = ad.reduce_mean(_clamped_log(d_fake))
-    return ad.scalar_mul(ad.add(t_real, t_fake), -1.0)
+    return ad.mul(ad.add(t_real, t_fake), -1.0)
 
 
 def _mean_p_norm(diff: ad.Tensor, p: int) -> ad.Tensor:

@@ -39,6 +39,7 @@ and skips the D(real) branch, which cannot reach G.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import sys
@@ -275,28 +276,33 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (count,) = struct.unpack_from("<Q", blob, 8)
-    offset = 16
     state: dict[str, np.ndarray] = {}
     try:
+        version, count = struct.unpack_from("<IQ", blob, 4)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        offset = 16
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, offset)
             offset += 2
-            name = blob[offset : offset + name_len].decode("utf-8")
+            try:
+                name = blob[offset : offset + name_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: parameter name is not UTF-8") from None
             offset += name_len
             (rank,) = struct.unpack_from("<B", blob, offset)
             offset += 1
             shape = struct.unpack_from(f"<{rank}Q", blob, offset)
             offset += 8 * rank
-            n = int(np.prod(shape)) if rank else 1
+            n = math.prod(shape)  # exact: corrupt extents cannot overflow
             if offset + 8 * n > len(blob):
                 raise ValueError(f"{path}: truncated checkpoint")
             data = np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
             offset += 8 * n
-            state[name] = data.reshape(shape).astype(np.float64)
+            try:
+                state[name] = data.reshape(shape).astype(np.float64)
+            except ValueError:  # a zero extent beside ones numpy cannot hold
+                raise ValueError(f"{path}: bad extents {shape} for {name!r}") from None
     except struct.error:
         raise ValueError(f"{path}: truncated checkpoint") from None
     if offset != len(blob):
@@ -566,10 +572,8 @@ def train_step_generator(
             clamped = int(clamp_flags(losses, mu, eps).sum())
         scalar = scalarize(losses, config.mode, mu, eps, fixed)
         total = ad.add(
-            ad.add(
-                ad.scalar_mul(l_gan, weights[0]), ad.scalar_mul(l_pix, weights[1])
-            ),
-            ad.scalar_mul(l_fea, weights[2]),
+            ad.add(ad.mul(l_gan, weights[0]), ad.mul(l_pix, weights[1])),
+            ad.mul(l_fea, weights[2]),
         )
         tape.backward(total)
     opt.step()

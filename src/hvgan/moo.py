@@ -19,6 +19,7 @@ and 32 nondominated points.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -209,7 +210,13 @@ def hypervolume_exact(s: PointSet, r) -> float:
         )
     # Distinct rows only: a duplicate adds no volume.
     front = list(set(map(tuple, nd.tolist())))
-    return _hv_recursive(front, tuple(ref.tolist()))
+    volume = _hv_recursive(front, tuple(ref.tolist()))
+    if not math.isfinite(volume):
+        raise ValueError(
+            f"hypervolume_exact: volume overflows float64 for reference point "
+            f"{tuple(float(v) for v in r)}"
+        )
+    return volume
 
 
 def hypervolume_mc(
@@ -227,7 +234,13 @@ def hypervolume_mc(
     if pts.shape[0] == 0:
         return 0.0, 0.0
     ideal = pts.min(axis=0)
-    box_vol = float(np.prod(ref - ideal))
+    # math.prod of Python floats: an overflow gives inf without a warning
+    box_vol = math.prod(r_k - i_k for r_k, i_k in zip(ref.tolist(), ideal.tolist()))
+    if not math.isfinite(box_vol):
+        raise ValueError(
+            f"hypervolume_mc: sampling box volume overflows float64 for reference "
+            f"point {tuple(float(v) for v in r)}"
+        )
     if box_vol == 0.0:
         return 0.0, 0.0
     rng = np.random.default_rng(seed)

@@ -109,7 +109,7 @@ def test_gradient_weight_law(capsys):
                 gap = ad.sub(ad.Tensor(mu), lp)
                 if normalized:
                     gap = ad.mul(gap, ad.Tensor(1.0 / mu))
-                loss = ad.scalar_mul(ad.reduce_sum(ad.log(gap)), -1.0)
+                loss = ad.mul(ad.reduce_sum(ad.log(gap)), -1.0)
                 tape.backward(loss)
             worst_grad = max(worst_grad, float(np.max(np.abs(lp.grad - w))))
 
@@ -193,9 +193,9 @@ def test_weighted_sum_update(capsys):
         fake = g2.forward(ad.Tensor(lr_b))
         l_gan, l_pix, l_fea = loss_terms(g2, fake, ad.Tensor(hr_b))
         total = ad.add(
-            ad.add(ad.scalar_mul(l_gan, weights[0]),
-                   ad.scalar_mul(l_pix, weights[1])),
-            ad.scalar_mul(l_fea, weights[2]),
+            ad.add(ad.mul(l_gan, weights[0]),
+                   ad.mul(l_pix, weights[1])),
+            ad.mul(l_fea, weights[2]),
         )
         tape.backward(total)
 

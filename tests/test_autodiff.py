@@ -90,10 +90,10 @@ class TestTapeMechanics:
             y = ad.mul(x, x)
         assert len(tape) == 1
         with Tape() as other:
-            ad.scalar_mul(y, 5.0)
+            ad.mul(y, 5.0)
         assert len(tape) == 1 and len(other) == 1
         with tape:
-            loss = ad.scalar_mul(y, 2.0)
+            loss = ad.mul(y, 2.0)
         assert len(tape) == 2
         tape.backward(loss)
         # d(2 x^2)/dx = 4x, through the op of each span
@@ -232,6 +232,26 @@ class TestForwardValues:
         )
         assert np.array_equal(_bits(gx), _bits(want_g))
 
+    # loss-sized () cotangents, signed zeros included, and a D-logit-sized
+    # batch, where p also holds signed zeros, one and a subnormal
+    @pytest.mark.parametrize("g", [
+        np.array(-0.0), np.array(0.0), np.array(0.37),
+        np.array([[1.5], [-0.0], [0.0], [-2.0]]),
+    ], ids=["neg_zero", "zero", "scalar", "batch"])
+    def test_float_operands_match_the_scaled_and_complemented_forms(self, g):
+        rng = np.random.default_rng(79)
+        x = np.asarray(rng.standard_normal(g.shape))
+        p = np.asarray(rng.random(g.shape))
+        if g.ndim:
+            p[:, 0] = [0.0, -0.0, 1.0, 5e-324]
+        for c in (-1.0, 0.0517, 3e5):
+            assert np.array_equal(_bits(ad.mul(Tensor(x), c).data), _bits(x * c))
+            (gx,) = _grad_of(lambda q: ad.reduce_sum(ad.mul(ad.mul(q[0], c), Tensor(g))), [x])
+            assert np.array_equal(_bits(gx), _bits(g * c))
+        assert np.array_equal(_bits(ad.sub(1.0, Tensor(p)).data), _bits((p * -1.0) + 1.0))
+        (gp,) = _grad_of(lambda q: ad.reduce_sum(ad.mul(ad.sub(1.0, q[0]), Tensor(g))), [p])
+        assert np.array_equal(_bits(gp), _bits(-g))
+
     def test_mean_spatial_shape_and_value(self):
         x = np.arange(24.0).reshape(2, 3, 2, 2)
         out = ad.mean_spatial(Tensor(x))
@@ -294,8 +314,8 @@ class TestShapeAndDomainErrors:
             ad.log(Tensor(np.array([1.0, 0.0])))
 
     def test_overflow_raises_immediately(self):
-        with pytest.raises(FloatingPointError, match="exp"):
-            ad.exp(Tensor(1000.0))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="'mul'"):
+            ad.mul(Tensor(1e300), 1e300)
 
 
 class TestFiniteDiff:
@@ -343,9 +363,9 @@ class TestFiniteDiff:
 
     def test_every_primitive_is_registered_once(self):
         want = {
-            "add", "sub", "mul", "scalar_add", "scalar_mul", "scalar_broadcast",
+            "add", "sub", "mul", "scalar_broadcast",
             "matmul", "conv2d", "bias_add", "leaky_relu", "sigmoid", "log",
-            "exp", "absolute", "square", "clip", "reduce_sum", "reduce_mean",
+            "absolute", "square", "clip", "reduce_sum", "reduce_mean",
             "mean_spatial", "upsample_nearest",
         }
         assert set(ad.PRIMITIVES) == want

@@ -106,6 +106,24 @@ class TestHv:
         est, stderr = (float(v) for v in lines[1].split())
         assert abs(est - 3.0) <= 4.0 * stderr
 
+    # finite points and reference whose exact volume, or Monte-Carlo box
+    # volume, exceeds float64
+    @pytest.mark.parametrize("points, mc, what", [
+        ("0,0\n", ["--mc", "100"], "hypervolume_exact"),
+        ("0,0\n1,-1e300\n", [], "hypervolume_exact"),
+        ("-1e155,9.9999e154\n9.9999e154,-1e155\n", ["--mc", "100"], "hypervolume_mc"),
+    ], ids=["exact_and_mc", "exact", "mc_box"])
+    def test_overflowing_volume_is_an_error(self, tmp_path, points, mc, what):
+        pts = tmp_path / "p.csv"
+        pts.write_text(points)
+        ref = "1e155,1e155" if what == "hypervolume_mc" else "1e200,1e200"
+        proc = run_cli("hv", str(pts), "--ref", ref, *mc)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()  # no numpy RuntimeWarning either
+        assert len(lines) == 1 and lines[0].startswith(f"error: {what}: ")
+        assert "overflows float64 for reference point" in lines[0]
+
     def test_mc_is_seed_deterministic(self, tmp_path):
         pts = tmp_path / "p.csv"
         pts.write_text("1,2\n2,1\n")
@@ -265,6 +283,26 @@ class TestTrain:
         out = tmp_path / "rows"
         assert len((out / "pretrain.csv").read_text().splitlines()) == 1 + 3
         assert len((out / "history.csv").read_text().splitlines()) == 1 + 4
+
+    def test_adversarial_failure_keeps_the_pretraining_rows(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cfg_path, _ = _train_config(tmp_path, "crash", pretrain_iters=3)
+
+        def fail(*args):
+            raise FloatingPointError("non-finite values produced by op 'conv2d'")
+
+        monkeypatch.setattr(model, "adversarial_phase", fail)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: non-finite values produced by op 'conv2d'\n"
+        )
+        out = tmp_path / "crash"
+        lines = (out / "pretrain.csv").read_text().splitlines()
+        assert lines[0] == cli.PRETRAIN_HEADER
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3]
+        assert all(math.isfinite(float(line.split(",")[1])) for line in lines[1:])
+        assert sorted(p.name for p in out.iterdir()) == ["pretrain.csv"]
 
     def test_checkpoint_holds_the_trained_weights(self, tmp_path):
         cfg_path, _ = _train_config(tmp_path, "ck", adversarial_iters=3)

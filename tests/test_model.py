@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -183,6 +184,13 @@ class TestLrSchedule:
         assert lr_at(1e-4, (), 10**6) == 1e-4
 
 
+def _one_param_header(*extents, name=b"w"):
+    """A version-1 checkpoint for one parameter with these extents, and no
+    data."""
+    return (b"HVGN" + struct.pack("<IQH", 1, 1, len(name)) + name
+            + struct.pack(f"<B{len(extents)}Q", len(extents), *extents))
+
+
 class TestStateAndCheckpoints:
     def test_state_round_trip(self):
         g1, _ = _tiny_nets(7)
@@ -239,6 +247,23 @@ class TestStateAndCheckpoints:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob, want", [
+        (b"HVGN", "truncated checkpoint"),
+        (b"HVGN\x01\x00\x00\x00", "truncated checkpoint"),
+        (b"HVGN\x01\x00\x00\x00" + bytes(7), "truncated checkpoint"),
+        (_one_param_header(2**40, 2**40), "truncated checkpoint"),
+        # the product wraps to 1 in uint64, and 8 data bytes follow
+        (_one_param_header(2**64 - 1, 2**64 - 1) + bytes(8), "truncated checkpoint"),
+        (_one_param_header(0, 2**64 - 1), r"bad extents \(0, 18446744073709551615\)"),
+        (_one_param_header(name=b"\xff") + bytes(8), "parameter name is not UTF-8"),
+    ], ids=["magic_only", "8_bytes", "15_bytes", "extents_2^40x2^40",
+            "extents_(2^64-1)^2", "zero_beside_2^64-1", "name_not_utf8"])
+    def test_corrupt_header_error_names_the_file(self, tmp_path, blob, want):
+        path = tmp_path / "c.hvgn"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {want}"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -491,10 +516,10 @@ class TestGeneratorStep:
             l_fea = feature_loss(fake, hr_t, extractor, 1)
             total = ad.add(
                 ad.add(
-                    ad.scalar_mul(l_gan, weights[0]),
-                    ad.scalar_mul(l_pix, weights[1]),
+                    ad.mul(l_gan, weights[0]),
+                    ad.mul(l_pix, weights[1]),
                 ),
-                ad.scalar_mul(l_fea, weights[2]),
+                ad.mul(l_fea, weights[2]),
             )
             tape.backward(total)
 

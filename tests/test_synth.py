@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,4 +60,4 @@ class TestCorpus:
         a = write_corpus(tmp_path / "a", seed=1, count=2, size=16)
         b = write_corpus(tmp_path / "b", seed=1, count=2, size=16)
         for pa, pb in zip(a, b):
-            assert open(pa, "rb").read() == open(pb, "rb").read()
+            assert Path(pa).read_bytes() == Path(pb).read_bytes()

@@ -61,20 +61,13 @@ __all__ = [
     "PRIMITIVES",
 ]
 
-_STACK = threading.local()
+
+class _TapeStack(threading.local):
+    def __init__(self):  # runs once per thread: each thread starts with no tape
+        self.tapes: list = []
 
 
-def _tape_stack() -> list:
-    stack = getattr(_STACK, "stack", None)
-    if stack is None:
-        stack = []
-        _STACK.stack = stack
-    return stack
-
-
-def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_STACK = _TapeStack()
 
 
 class Tensor:
@@ -127,11 +120,11 @@ class Tape:
         self._nodes: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _STACK.tapes.pop()
         if popped is not self:
             raise RuntimeError("tape stack corrupted: exited out of order")
         return False
@@ -145,7 +138,7 @@ class Tape:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         loss.grad = np.ones((), dtype=np.float64)
         for node in reversed(self._nodes):
-            if node.grad is None or node._vjp is None:
+            if node.grad is None:
                 continue
             node._vjp(node.grad)
 
@@ -180,12 +173,12 @@ def _record(opname: str, data: np.ndarray, parents: tuple, vjp: Callable) -> Ten
     if not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values produced by op '{opname}'")
     out = Tensor(data)
-    tape = _active_tape()
-    if tape is not None and any(p.requires_grad for p in parents):
+    tapes = _STACK.tapes
+    if tapes and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
-        tape._nodes.append(out)
+        tapes[-1]._nodes.append(out)
     return out
 
 
@@ -506,47 +499,43 @@ def _away_from(a: np.ndarray, kink: float = 0.0, margin: float = 0.05) -> np.nda
     return b
 
 
-def _s(seed, k: int):
-    return [k, seed] if np.isscalar(seed) else [k, *seed]
-
-
 PRIMITIVES: dict[str, Callable[[int], tuple]] = {
     "add": lambda s: (lambda p: reduce_sum(mul(add(p[0], p[1]), add(p[0], p[1]))),
-                      _rng_arrays(_s(s, 1), (3, 4), (3, 4))),
+                      _rng_arrays([1, s], (3, 4), (3, 4))),
     "sub": lambda s: (lambda p: reduce_sum(square(sub(p[0], p[1]))),
-                      _rng_arrays(_s(s, 2), (3, 4), (3, 4))),
+                      _rng_arrays([2, s], (3, 4), (3, 4))),
     "mul": lambda s: (lambda p: reduce_sum(mul(p[0], p[1])),
-                      _rng_arrays(_s(s, 3), (3, 4), (3, 4))),
+                      _rng_arrays([3, s], (3, 4), (3, 4))),
     "scalar_broadcast": lambda s: (
         lambda p: reduce_sum(square(sub(p[0], reduce_mean(p[1])))),
-        _rng_arrays(_s(s, 6), (4, 1), (4, 1))),
+        _rng_arrays([6, s], (4, 1), (4, 1))),
     "matmul": lambda s: (lambda p: reduce_sum(square(matmul(p[0], p[1]))),
-                         _rng_arrays(_s(s, 7), (3, 4), (4, 2))),
+                         _rng_arrays([7, s], (3, 4), (4, 2))),
     "conv2d": lambda s: (lambda p: reduce_sum(square(conv2d(p[0], p[1]))),
-                         _rng_arrays(_s(s, 8), (2, 3, 5, 6), (4, 3, 3, 3))),
+                         _rng_arrays([8, s], (2, 3, 5, 6), (4, 3, 3, 3))),
     "bias_add": lambda s: (lambda p: reduce_sum(square(bias_add(p[0], p[1]))),
-                           _rng_arrays(_s(s, 9), (2, 3, 4, 4), (3,))),
+                           _rng_arrays([9, s], (2, 3, 4, 4), (3,))),
     "leaky_relu": lambda s: (lambda p: reduce_sum(square(leaky_relu(p[0], 0.2))),
-                             [_away_from(_rng_arrays(_s(s, 10), (4, 5))[0])]),
+                             [_away_from(_rng_arrays([10, s], (4, 5))[0])]),
     "sigmoid": lambda s: (lambda p: reduce_sum(square(sigmoid(p[0]))),
-                          _rng_arrays(_s(s, 11), (4, 5))),
+                          _rng_arrays([11, s], (4, 5))),
     "log": lambda s: (lambda p: reduce_sum(square(log(p[0]))),
-                      [np.abs(_rng_arrays(_s(s, 12), (4, 5))[0]) + 0.5]),
+                      [np.abs(_rng_arrays([12, s], (4, 5))[0]) + 0.5]),
     "absolute": lambda s: (lambda p: reduce_sum(square(absolute(p[0]))),
-                           [_away_from(_rng_arrays(_s(s, 14), (4, 5))[0])]),
+                           [_away_from(_rng_arrays([14, s], (4, 5))[0])]),
     "square": lambda s: (lambda p: reduce_sum(square(p[0])),
-                         _rng_arrays(_s(s, 15), (4, 5))),
+                         _rng_arrays([15, s], (4, 5))),
     "clip": lambda s: (lambda p: reduce_sum(square(clip(p[0], -1.0, 1.0))),
-                       [_away_from(_away_from(_rng_arrays(_s(s, 16), (4, 5))[0], -1.0), 1.0)]),
+                       [_away_from(_away_from(_rng_arrays([16, s], (4, 5))[0], -1.0), 1.0)]),
     "reduce_sum": lambda s: (lambda p: square(reduce_sum(p[0])),
-                             _rng_arrays(_s(s, 17), (3, 4))),
+                             _rng_arrays([17, s], (3, 4))),
     "reduce_mean": lambda s: (lambda p: square(reduce_mean(p[0])),
-                              _rng_arrays(_s(s, 18), (3, 4))),
+                              _rng_arrays([18, s], (3, 4))),
     "mean_spatial": lambda s: (lambda p: reduce_sum(square(mean_spatial(p[0]))),
-                               _rng_arrays(_s(s, 19), (2, 3, 4, 4))),
+                               _rng_arrays([19, s], (2, 3, 4, 4))),
     "upsample_nearest": lambda s: (
         lambda p: reduce_sum(square(upsample_nearest(p[0], 2))),
-        _rng_arrays(_s(s, 20), (2, 2, 3, 3))),
+        _rng_arrays([20, s], (2, 2, 3, 3))),
 }
 
 

@@ -59,9 +59,15 @@ def _utc_now() -> str:
 
 
 def _read_config(path) -> tuple[model.TrainConfig, str]:
-    """The parsed config and its raw text, which the manifest keeps verbatim."""
-    raw_text = Path(path).read_text(encoding="utf-8")
-    return model.TrainConfig.from_dict(json.loads(raw_text)), raw_text
+    """The parsed config and its raw text, which the manifest keeps verbatim.
+    Text that is not UTF-8, not JSON, or nested too deep for the parser is
+    rejected by path."""
+    try:
+        raw_text = Path(path).read_text(encoding="utf-8")
+        raw = json.loads(raw_text)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise ValueError(f"{path}: {e}") from None
+    return model.TrainConfig.from_dict(raw), raw_text
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -199,7 +205,8 @@ def cmd_train(args) -> int:
 def _load_eval_pairs(paths, channels: int) -> list[tuple[ImageBuffer, ImageBuffer]]:
     """(original, x4 bicubic downscale) of every eval image, each loaded and
     downscaled once; an image whose channel count differs from the corpus's,
-    or that is smaller than SSIM's window, is rejected by name."""
+    that is smaller than SSIM's window, or whose sides are not multiples of
+    4, is rejected by name."""
     pairs = []
     for path in paths:
         img = load_image(path)
@@ -212,6 +219,11 @@ def _load_eval_pairs(paths, channels: int) -> list[tuple[ImageBuffer, ImageBuffe
             raise ValueError(
                 f"eval image {path} is {img.height}x{img.width}, smaller than "
                 f"the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
+            )
+        if img.height % 4 or img.width % 4:
+            raise ValueError(
+                f"eval image {path} is {img.height}x{img.width}, not divisible "
+                f"by 4 for the x4 downscale"
             )
         pairs.append((img, bicubic_downscale(img, 4)))
     return pairs

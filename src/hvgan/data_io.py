@@ -299,8 +299,11 @@ def augment(lr: np.ndarray, hr: np.ndarray, seed) -> tuple[np.ndarray, np.ndarra
 
 def read_points_csv(path, orientation: Orientation) -> PointSet:
     """Headerless CSV of finite objective vectors, one per line; errors name
-    the line."""
-    text = Path(path).read_text(encoding="utf-8")
+    the file, and the line where there is one."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
     rows = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -62,10 +62,10 @@ def _windowed(img: np.ndarray, win: np.ndarray) -> np.ndarray:
     return np.tensordot(view, win, axes=([2, 3], [0, 1]))
 
 
-def _ssim_channel(a: np.ndarray, b: np.ndarray, peak: float) -> float:
+def _ssim_channel(a: np.ndarray, b: np.ndarray) -> float:
     win = _gaussian_window(SSIM_WINDOW, _SSIM_SIGMA)
-    c1 = (0.01 * peak) ** 2
-    c2 = (0.03 * peak) ** 2
+    c1 = 0.01**2
+    c2 = 0.03**2
     mu_a = _windowed(a, win)
     mu_b = _windowed(b, win)
     var_a = _windowed(a * a, win) - mu_a * mu_a
@@ -84,7 +84,7 @@ def ssim(a, b) -> float:
             f"ssim: image {av.shape[1]}x{av.shape[2]} is smaller than the "
             f"{SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
-    return float(np.mean([_ssim_channel(av[c], bv[c], 1.0) for c in range(av.shape[0])]))
+    return float(np.mean([_ssim_channel(av[c], bv[c]) for c in range(av.shape[0])]))
 
 
 def _avg_pool2(img: np.ndarray) -> np.ndarray:

@@ -191,7 +191,7 @@ def init_networks(
 def apply_generator(g: GeneratorNet, img: ImageBuffer) -> ImageBuffer:
     """Run the generator on a whole image outside any tape."""
     out = g.forward(ad.Tensor(img.data[None]))
-    return ImageBuffer(np.clip(out.data[0], 0.0, 1.0))
+    return ImageBuffer(out.data[0])
 
 
 # ---------------------------------------------------------------------------

@@ -122,8 +122,6 @@ def _pareto_mask(arr: np.ndarray) -> np.ndarray:
     k = arr.shape[0]
     keep = np.ones(k, dtype=bool)
     for i in range(k):
-        if not keep[i]:
-            continue
         # rows that dominate row i: <= everywhere and < somewhere
         leq = (arr <= arr[i]).all(axis=1)
         lt = (arr < arr[i]).any(axis=1)

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,25 @@ class TestTapeMechanics:
         tape.backward(loss)
         # d(2 x^2)/dx = 4x, through the op of each span
         assert x.grad == 12.0
+
+    def test_tapes_are_per_thread(self):
+        # a tape records only the ops of the thread that entered it
+        x = Parameter(np.array(3.0), name="x")
+        seen = {}
+
+        def worker():
+            seen["outside"] = ad.mul(x, x).requires_grad
+            with Tape() as inner:
+                ad.mul(x, 2.0)
+            seen["inner"] = len(inner)
+
+        with Tape() as outer:
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == {"outside": False, "inner": 1}
+        assert len(outer) == 0
 
     def test_reuse_of_a_node_accumulates(self):
         # y = x * x differentiates to 2x even though both factors are the
@@ -316,6 +337,23 @@ class TestShapeAndDomainErrors:
     def test_overflow_raises_immediately(self):
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="'mul'"):
             ad.mul(Tensor(1e300), 1e300)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ad.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3)))),
+         r"conv2d: incompatible shapes \(1, 2, 4, 4\) and \(1, 3, 3, 3\)"),
+        (lambda: ad.clip(Tensor(np.ones(2)), 1.0, 1.0),
+         r"clip: need lo < hi, got \(1.0, 1.0\)"),
+        (lambda: ad.mean_spatial(Tensor(np.ones((2, 3)))),
+         r"mean_spatial: need \(N,C,H,W\), got \(2, 3\)"),
+        (lambda: ad.upsample_nearest(Tensor(np.ones((2, 3))), 2),
+         r"upsample_nearest: need \(N,C,H,W\) and factor >= 1, got \(2, 3\) and 2"),
+        (lambda: ad.upsample_nearest(Tensor(np.ones((1, 1, 2, 2))), 0),
+         r"upsample_nearest: need \(N,C,H,W\) and factor >= 1, got \(1, 1, 2, 2\) and 0"),
+    ], ids=["conv2d_channels", "clip_bounds", "mean_spatial_rank",
+            "upsample_rank", "upsample_factor"])
+    def test_bad_operand_is_named(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestFiniteDiff:

@@ -106,6 +106,13 @@ class TestHv:
         est, stderr = (float(v) for v in lines[1].split())
         assert abs(est - 3.0) <= 4.0 * stderr
 
+    def test_points_on_the_reference_face_have_no_volume(self, tmp_path, capsys):
+        # the sampling box is flat, so the Monte-Carlo estimate is exact
+        pts = tmp_path / "p.csv"
+        pts.write_text("3,1\n3,2\n")
+        assert cli.main(["hv", str(pts), "--ref", "3,3", "--mc", "100"]) == 0
+        assert capsys.readouterr().out == "0\n0 0\n"
+
     # finite points and reference whose exact volume, or Monte-Carlo box
     # volume, exceeds float64
     @pytest.mark.parametrize("points, mc, what", [
@@ -355,6 +362,22 @@ class TestTrain:
         cfg_path.write_text("{not json")
         proc = run_cli("train", "--config", str(cfg_path))
         assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {cfg_path}: Expecting property name")
+
+    def test_config_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(b'{"dataset": "\xff"}')
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_config_nested_too_deep_is_named(self, tmp_path, capsys):
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_text("[" * 100_000)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_unmakeable_output_dir_fails_before_pretraining(
@@ -510,6 +533,21 @@ class TestCompare:
         assert proc.stdout == ""
         assert f"eval image {small} is 8x8, smaller than the 11x11" in proc.stderr
         assert not (tmp_path / "small").exists()
+
+    @pytest.mark.parametrize("h, w", [(18, 18), (16, 18), (18, 16)])
+    def test_eval_image_not_divisible_by_4_fails_before_writing(
+        self, tmp_path, capsys, h, w
+    ):
+        odd = tmp_path / "odd.pgm"
+        save_image(ImageBuffer(np.full((1, h, w), 0.5)), odd)
+        cfg_path, _ = _train_config(tmp_path, "odd", eval_list=[str(odd)])
+        assert cli.main(["compare", "--config", str(cfg_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: eval image {odd} is {h}x{w}, not divisible by 4 for the x4 downscale\n"
+        )
+        assert not (tmp_path / "odd").exists()
 
     def test_eval_image_channel_mismatch_is_named(self, tmp_path):
         rgb = tmp_path / "rgb.ppm"

@@ -150,6 +150,33 @@ class TestPgmPpm:
             load_image(tmp_path / "absent.pgm")
 
 
+def _pgm_bytes(tmp_path, blob):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(blob)
+    return path
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", [
+        (lambda tmp: load_image(_pgm_bytes(tmp, b"P5\nab 2\n255\n" + bytes(4))),
+         r"h\.pgm: non-numeric header fields \[b'ab', b'2', b'255'\]"),
+        (lambda tmp: load_image(_pgm_bytes(tmp, b"P5\n0 2\n255\n")),
+         r"h\.pgm: bad dimensions 0x2"),
+        (lambda tmp: bicubic_downscale(ImageBuffer(np.zeros((1, 4, 4))), 0),
+         r"bicubic_downscale: factor must be >= 1, got 0"),
+        (lambda tmp: nearest_upscale(ImageBuffer(np.zeros((1, 4, 4))), 0),
+         r"nearest_upscale: factor must be >= 1, got 0"),
+        (lambda tmp: extract_patches(ImageBuffer(np.zeros((1, 8, 8))), 8, -1, 0),
+         r"count must be >= 0, got -1"),
+        (lambda tmp: ImageBuffer(np.zeros((1, 0, 4))),
+         r"ImageBuffer: empty spatial extent \(1, 0, 4\)"),
+    ], ids=["header_non_numeric", "header_zero_width", "downscale_factor",
+            "upscale_factor", "patch_count", "empty_extent"])
+    def test_bad_input_is_named(self, tmp_path, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(tmp_path)
+
+
 class TestBicubic:
     def test_rows_sum_to_one(self):
         for n, f in [(8, 4), (16, 4), (12, 2), (64, 4)]:
@@ -356,6 +383,12 @@ class TestPointsCsv:
         path = tmp_path / "f.csv"
         path.write_text(f"1,2\n{tok},1\n")
         with pytest.raises(ValueError, match=f"line 2: non-finite field '{tok}'"):
+            read_points_csv(path, Orientation.MINIMIZE)
+
+    def test_text_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_bytes(b"1,2\n\xff\xfe,3\n")
+        with pytest.raises(ValueError, match=r"u\.csv: 'utf-8' codec can't decode byte 0xff"):
             read_points_csv(path, Orientation.MINIMIZE)
 
 

@@ -3,7 +3,8 @@
 Each input is a valid file that a command accepts. The mutations are the
 classic four of byte-level fuzzers: flip one bit, delete a byte, insert a
 random byte, truncate. Whatever the bytes, a command exits 0, 1 or 2, and a
-failing one prints exactly one ``error:`` line and no traceback.
+failing one prints exactly one ``error:`` line and no traceback. A failing
+read of a points CSV, and a config that is not UTF-8 JSON, name the file.
 """
 
 import json
@@ -32,7 +33,7 @@ def _mutate(blob: bytes, rng: random.Random) -> bytes:
     return blob[:pos]
 
 
-def _run(argv, capsys) -> int:
+def _run(argv, capsys) -> tuple[int, str]:
     code = cli.main(argv)
     out, err = capsys.readouterr()
     assert code in (0, 1, 2), (argv, code)
@@ -42,7 +43,7 @@ def _run(argv, capsys) -> int:
         assert "Traceback" not in err
     else:
         assert err == "", (argv, err)
-    return code
+    return code, err
 
 
 def _image(tmp_path, name, channels):
@@ -52,24 +53,29 @@ def _image(tmp_path, name, channels):
     return path
 
 
-def _fuzz(path: Path, seed: int, argvs, capsys, runnable=lambda: True) -> list[int]:
+def _fuzz(path: Path, seed: int, argvs, capsys, runnable=lambda: True) -> list[tuple]:
     """Write each mutation of ``path``'s bytes over it and run every argv;
-    returns the exit codes."""
+    returns (mutated bytes, argv, exit code, stderr) of every run."""
     original = path.read_bytes()
     rng = random.Random(seed)
-    codes = []
+    runs = []
     for _ in range(MUTATIONS):
-        path.write_bytes(_mutate(original, rng))
+        blob = _mutate(original, rng)
+        path.write_bytes(blob)
         if runnable():
-            codes += [_run(argv, capsys) for argv in argvs]
-    return codes
+            runs += [(blob, argv, *_run(argv, capsys)) for argv in argvs]
+    return runs
+
+
+def _codes(runs) -> list[int]:
+    return [code for _, _, code, _ in runs]
 
 
 @pytest.mark.parametrize("name, channels", [("img.pgm", 1), ("img.ppm", 3)])
 def test_mutated_image(tmp_path, capsys, name, channels):
     ref = _image(tmp_path, f"ref_{name}", channels)
     test = _image(tmp_path, name, channels)
-    codes = _fuzz(test, 161, [["eval", "--ref", str(ref), "--test", str(test)]], capsys)
+    codes = _codes(_fuzz(test, 161, [["eval", "--ref", str(ref), "--test", str(test)]], capsys))
     assert len(codes) == MUTATIONS and {0, 1} <= set(codes)
 
 
@@ -77,8 +83,15 @@ def test_mutated_points_csv(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     pts.write_text("1,2,3\n2,1,3\n3,3,1\n0.5,2.5,2\n")
     argvs = [["hv", str(pts), "--ref", "4,4,4", "--mc", "64"], ["pareto", str(pts)]]
-    codes = _fuzz(pts, 162, argvs, capsys)
+    runs = _fuzz(pts, 162, argvs, capsys)
+    codes = _codes(runs)
     assert len(codes) == 2 * MUTATIONS and {0, 1} <= set(codes)
+    # pareto reads nothing but the file, so each of its failures names it
+    # (hv's may name the reference point instead)
+    failed = [(blob, err) for blob, argv, code, err in runs if code and argv[0] == "pareto"]
+    assert failed
+    for blob, err in failed:
+        assert err.startswith(f"error: {pts}: "), (blob, err)
 
 
 def test_mutated_train_config(tmp_path, capsys, monkeypatch):
@@ -107,5 +120,14 @@ def test_mutated_train_config(tmp_path, capsys, monkeypatch):
             if isinstance(parsed.get(key), str)
         )
 
-    codes = _fuzz(cfg, 163, [["train", "--config", str(cfg)]], capsys, inside_tmp_path)
+    runs = _fuzz(cfg, 163, [["train", "--config", str(cfg)]], capsys, inside_tmp_path)
+    codes = _codes(runs)
     assert len(codes) >= MUTATIONS // 2 and {0, 1} <= set(codes)
+    unparsed = 0
+    for blob, _, code, err in runs:
+        try:
+            json.loads(blob.decode("utf-8"))
+        except ValueError:
+            unparsed += 1
+            assert code == 1 and err.startswith(f"error: {cfg}: "), (blob, err)
+    assert unparsed

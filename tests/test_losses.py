@@ -190,6 +190,10 @@ class TestFeatureExtractor:
         out = FeatureExtractor(1, 0).features(x)
         assert out.data.shape == (2, 16, 8, 8)
 
+    def test_no_input_channels_rejected(self):
+        with pytest.raises(ValueError, match="in_channels must be >= 1, got 0"):
+            FeatureExtractor(0, 0)
+
     def test_matches_straight_line_reference(self):
         rng = np.random.default_rng(100)
         x = rng.uniform(size=(1, 3, 6, 6))

@@ -155,3 +155,12 @@ class TestSharedProperties:
         assert psnr(a, b) == psnr(a[None], b[None])
         assert ssim(a, b) == ssim(a[None], b[None])
         assert gmsd(a, b) == gmsd(a[None], b[None])
+
+    @pytest.mark.parametrize("metric", [psnr, ssim, gmsd], ids=["psnr", "ssim", "gmsd"])
+    def test_four_d_arrays_rejected(self, metric):
+        a = np.zeros((1, 1, 16, 16))
+        name = metric.__name__
+        with pytest.raises(
+            ValueError, match=rf"{name}: need \(C,H,W\) or \(H,W\), got shape \(1, 1, 16, 16\)"
+        ):
+            metric(a, a)

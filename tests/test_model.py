@@ -111,6 +111,15 @@ class TestNetworks:
         with pytest.raises(ValueError, match="channels"):
             init_networks(0, channels=2)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: init_networks(0, disc_width=0), "discriminator width must be >= 1, got 0"),
+        (lambda: TrainConfig.from_dict(["dataset", "output_dir"]),
+         "config must be a JSON object, got list"),
+    ], ids=["disc_width", "config_not_an_object"])
+    def test_bad_argument_is_named(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_apply_generator_wraps_whole_images(self):
         g, _ = _tiny_nets()
         img = ImageBuffer(np.random.default_rng(3).uniform(size=(1, 8, 8)))

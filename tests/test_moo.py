@@ -89,6 +89,17 @@ class TestPointSet:
         with pytest.raises(ValueError, match="Orientation"):
             PointSet.from_rows([(1, 2)], "min")
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: PointSet(np.zeros((1, 2, 3)), MIN),
+         r"PointSet: need a \(k, n\) array, got shape \(1, 2, 3\)"),
+        (lambda: PointSet(np.zeros((2, 0)), MIN),
+         "PointSet: points need at least one component"),
+        (lambda: dominates((), (), MIN), "dominates: need at least one component"),
+    ], ids=["three_d", "no_components", "dominates_empty"])
+    def test_shapeless_points_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 class TestParetoFilter:
     def test_contract_example(self):

@@ -161,6 +161,10 @@ class TestLinearFixed:
         with pytest.raises(ValueError, match="weights"):
             linear_fixed([1.0], [-0.5])
 
+    def test_non_finite_loss_rejected(self):
+        with pytest.raises(ValueError, match=r"loss vector has non-finite components: \[nan\]"):
+            linear_fixed([np.nan], [1.0])
+
 
 class TestScalarizeDispatch:
     def test_hv_log_mode(self):

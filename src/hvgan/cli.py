@@ -1,6 +1,7 @@
 """Command-line surface: MOO utilities, training, evaluation, comparison.
 
-Exit codes: 0 success, 1 validation or precondition failure, 2 I/O failure.
+Exit codes: 0 success, 1 validation or precondition failure or a request for
+more memory than the machine has, 2 I/O failure.
 Every command is deterministic given its inputs; wall-clock timestamps appear
 only inside run manifests.
 """
@@ -403,7 +404,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_negative_ref(argv))
     try:
         return args.func(args)
-    except (ValueError, FloatingPointError) as e:
+    except (ValueError, FloatingPointError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

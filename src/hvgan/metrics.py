@@ -9,6 +9,7 @@ construction implies.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["SSIM_WINDOW", "psnr", "ssim", "gmsd"]
 
@@ -52,28 +53,20 @@ def psnr(a, b, peak: float = 1.0) -> float:
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     r = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-(r * r) / (2.0 * sigma * sigma))
-    g /= g.sum()
-    return np.outer(g, g)
+    return g / g.sum()
 
 
-def _windowed(img: np.ndarray, win: np.ndarray) -> np.ndarray:
-    """Weighted local sums over fully-interior sliding windows."""
-    view = np.lib.stride_tricks.sliding_window_view(img, win.shape)
-    return np.tensordot(view, win, axes=([2, 3], [0, 1]))
+# Prewitt/3: the x-gradient window is outer(_PREWITT_SMOOTH, _PREWITT_DIFF),
+# the y-gradient window its transpose.
+_PREWITT_SMOOTH = np.full(3, 1.0 / 3.0)
+_PREWITT_DIFF = np.array([1.0, 0.0, -1.0])
 
 
-def _ssim_channel(a: np.ndarray, b: np.ndarray) -> float:
-    win = _gaussian_window(SSIM_WINDOW, _SSIM_SIGMA)
-    c1 = 0.01**2
-    c2 = 0.03**2
-    mu_a = _windowed(a, win)
-    mu_b = _windowed(b, win)
-    var_a = _windowed(a * a, win) - mu_a * mu_a
-    var_b = _windowed(b * b, win) - mu_b * mu_b
-    cov = _windowed(a * b, win) - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+def _windowed(img: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Weighted sums of the last two axes over every fully interior window of
+    outer(col, row), one 1-d pass per axis."""
+    img = sliding_window_view(img, col.size, axis=-2) @ col
+    return sliding_window_view(img, row.size, axis=-1) @ row
 
 
 def ssim(a, b) -> float:
@@ -84,25 +77,23 @@ def ssim(a, b) -> float:
             f"ssim: image {av.shape[1]}x{av.shape[2]} is smaller than the "
             f"{SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
-    return float(np.mean([_ssim_channel(av[c], bv[c]) for c in range(av.shape[0])]))
+    g = _gaussian_window(SSIM_WINDOW, _SSIM_SIGMA)
+    stack = np.stack([av, bv, av * av, bv * bv, av * bv])
+    mu_a, mu_b, aa, bb, ab = _windowed(stack, g, g)
+    c1 = 0.01**2
+    c2 = 0.03**2
+    var_a = aa - mu_a * mu_a
+    var_b = bb - mu_b * mu_b
+    cov = ab - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    return float(np.mean(np.mean(num / den, axis=(1, 2))))
 
 
 def _avg_pool2(img: np.ndarray) -> np.ndarray:
-    h, w = img.shape
-    img = img[: h - h % 2, : w - w % 2]
-    return img.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-
-
-def _gmsd_channel(a: np.ndarray, b: np.ndarray) -> float:
-    # symmetric 1-pixel padding keeps the 3x3 Prewitt maps at the pooled size
-    a = np.pad(_avg_pool2(a), 1, mode="symmetric")
-    b = np.pad(_avg_pool2(b), 1, mode="symmetric")
-    hx = np.array([[1.0, 0.0, -1.0]] * 3) / 3.0
-    hy = hx.T
-    m_a = np.sqrt(_windowed(a, hx) ** 2 + _windowed(a, hy) ** 2)
-    m_b = np.sqrt(_windowed(b, hx) ** 2 + _windowed(b, hy) ** 2)
-    sim = (2.0 * m_a * m_b + _GMSD_C) / (m_a * m_a + m_b * m_b + _GMSD_C)
-    return float(np.std(sim))
+    h, w = img.shape[-2:]
+    img = img[..., : h - h % 2, : w - w % 2]
+    return img.reshape(*img.shape[:-2], h // 2, 2, w // 2, 2).mean(axis=(-3, -1))
 
 
 def gmsd(a, b) -> float:
@@ -116,4 +107,11 @@ def gmsd(a, b) -> float:
         raise ValueError(
             f"gmsd: image {av.shape[1]}x{av.shape[2]} is smaller than 4x4"
         )
-    return float(np.mean([_gmsd_channel(av[c], bv[c]) for c in range(av.shape[0])]))
+    # symmetric 1-pixel padding keeps the 3x3 Prewitt maps at the pooled size
+    pair = _avg_pool2(np.stack([av, bv]))
+    pair = np.pad(pair, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="symmetric")
+    gx = _windowed(pair, _PREWITT_SMOOTH, _PREWITT_DIFF)
+    gy = _windowed(pair, _PREWITT_DIFF, _PREWITT_SMOOTH)
+    m_a, m_b = np.sqrt(gx * gx + gy * gy)
+    sim = (2.0 * m_a * m_b + _GMSD_C) / (m_a * m_a + m_b * m_b + _GMSD_C)
+    return float(np.mean(np.std(sim, axis=(1, 2))))

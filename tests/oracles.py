@@ -189,6 +189,39 @@ def gmsd_reference(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean((sim - sim.mean()) ** 2)))
 
 
+def ssim_reference(a: np.ndarray, b: np.ndarray) -> float:
+    """Straight-line SSIM: the 11x11 window outer(g, g) of the normalized
+    Gaussian g (sigma 1.5) at every fully interior position, C1 = 0.01^2 and
+    C2 = 0.03^2, the mean of each channel's map, then the channel mean."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim == 2:
+        a, b = a[None], b[None]
+    r = np.arange(11) - 5.0
+    g = np.exp(-(r * r) / (2.0 * 1.5 * 1.5))
+    g /= g.sum()
+    win = np.outer(g, g)
+    c1, c2 = 0.01**2, 0.03**2
+    channel_means = []
+    for ca, cb in zip(a, b):
+        hh, ww = ca.shape
+        vals = []
+        for y in range(hh - 10):
+            for x in range(ww - 10):
+                pa = ca[y : y + 11, x : x + 11]
+                pb = cb[y : y + 11, x : x + 11]
+                mu_a = np.sum(win * pa)
+                mu_b = np.sum(win * pb)
+                var_a = np.sum(win * pa * pa) - mu_a * mu_a
+                var_b = np.sum(win * pb * pb) - mu_b * mu_b
+                cov = np.sum(win * pa * pb) - mu_a * mu_b
+                num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+                den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+                vals.append(num / den)
+        channel_means.append(np.mean(vals))
+    return float(np.mean(channel_means))
+
+
 def adam_reference(param, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Textbook Adam trajectory for a single parameter given a grad sequence."""
     p = np.array(param, dtype=np.float64)

@@ -707,6 +707,29 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command", ["hv", "synth"])
+    def test_allocation_failure_is_one_error_line(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        def fail(*args):
+            raise MemoryError("Unable to allocate 146. TiB for an array")
+
+        monkeypatch.setattr(cli, "hypervolume_mc", fail)
+        monkeypatch.setattr(cli, "write_corpus", fail)
+        pts = tmp_path / "p.csv"
+        pts.write_text("1,2\n2,1\n")
+        argv = {
+            "hv": ["hv", str(pts), "--ref", "3,3", "--mc", "10000000000000"],
+            "synth": ["synth", "--out", str(tmp_path / "c"), "--size", "10000000"],
+        }[command]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: Unable to allocate 146. TiB for an array\n"
+        if command == "hv":
+            assert out == ""
+
+
 class TestMisc:
     def test_version(self):
         from hvgan import __version__

@@ -1,6 +1,6 @@
 """Golden reference: pinned outputs of a tiny training run on a 1-channel and
-on a 3-channel corpus, of a tiny ``compare`` run, of ``hv --mc``, of
-``pareto`` and of the exact hypervolume.
+on a 3-channel corpus, of a tiny ``compare`` run, of ``eval``, of
+``hv --mc``, of ``pareto`` and of the exact hypervolume.
 
 The values below were recorded once and are compared against, not against a
 rerun of the current code. A refactor that keeps them passes; one that moves
@@ -20,7 +20,7 @@ import pytest
 from hvgan import cli, model
 from hvgan.data_io import ImageBuffer, save_image
 from hvgan.moo import Orientation, PointSet, hypervolume_exact
-from hvgan.synth import write_corpus
+from hvgan.synth import make_image, write_corpus
 
 REL = 1e-12
 
@@ -270,6 +270,15 @@ HV_EXACT_HEX = {
     "5d_grid": (HV_SET_5D_GRID, 3.0, "0x1.d000000000000p+5"),
 }
 
+# `hvgan eval` stdout for each (ref, test) pair that _eval_images builds.
+EVAL_STDOUT = {
+    "identical": "inf,1.000000,0.000000\n",
+    "non_square": "20.107992,0.940747,0.074667\n",
+    "rgb_ppm": "20.431391,0.945951,0.083943\n",
+    "synth_noisy": "26.001025,0.891946,0.013618\n",
+    "synth_pair": "5.877919,0.040837,0.229275\n",
+}
+
 
 def _train_tiny(root, corpus):
     """The test_determinism tiny config on ``corpus``, trained once."""
@@ -437,3 +446,31 @@ def test_hv_exact_is_bit_identical(name):
     points = PointSet.from_rows(rows, Orientation.MINIMIZE)
     got = hypervolume_exact(points, (ref,) * len(rows[0]))
     assert float.hex(got) == want
+
+
+def _eval_images(name):
+    """The (ref, test) images of one EVAL_STDOUT case."""
+    rng = np.random.default_rng(1801)
+    if name == "synth_pair":
+        return make_image(0, 0), make_image(0, 3)
+    if name == "synth_noisy":
+        ref = make_image(0, 1)
+        noisy = ref.data + rng.normal(0.0, 0.05, size=ref.data.shape)
+        return ref, ImageBuffer(np.clip(noisy, 0.0, 1.0))
+    if name == "identical":
+        return make_image(0, 2), make_image(0, 2)
+    shape = {"rgb_ppm": (3, 40, 52), "non_square": (1, 28, 45)}[name]
+    ref = rng.uniform(size=shape)
+    noisy = ref + rng.normal(0.0, 0.1, size=shape)
+    return ImageBuffer(ref), ImageBuffer(np.clip(noisy, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_STDOUT))
+def test_eval_stdout_is_pinned(tmp_path, capsys, name):
+    args = ["eval"]
+    for role, img in zip(("ref", "test"), _eval_images(name)):
+        path = tmp_path / f"{role}.{'ppm' if img.channels == 3 else 'pgm'}"
+        save_image(img, path)
+        args += [f"--{role}", str(path)]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == EVAL_STDOUT[name]

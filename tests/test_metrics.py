@@ -5,7 +5,7 @@ import pytest
 
 from hvgan.metrics import gmsd, psnr, ssim
 
-from oracles import gmsd_reference
+from oracles import gmsd_reference, ssim_reference
 
 
 def _pair(seed, shape=(24, 32), noise=0.1):
@@ -88,6 +88,11 @@ class TestSsim:
         b = np.clip(a + rng.normal(0, 0.1, size=a.shape), 0, 1)
         want = np.mean([ssim(a[c], b[c]) for c in range(3)])
         assert ssim(a, b) == pytest.approx(want, rel=1e-14)
+
+    def test_matches_straight_line_reference(self):
+        for seed, shape in enumerate([(16, 16), (3, 11, 19), (20, 13), (3, 14, 14)]):
+            a, b = _pair(seed, shape=shape, noise=0.2)
+            assert ssim(a, b) == pytest.approx(ssim_reference(a, b), abs=1e-12)
 
     def test_matches_skimage_reference(self):
         structural_similarity = pytest.importorskip(

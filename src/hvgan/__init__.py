@@ -17,6 +17,34 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
+
+# Under glibc, buffers below 32 MiB come from the heap and up to 256 MiB of
+# freed heap stays mapped, unless the user sets MALLOC_MMAP_THRESHOLD_ or
+# MALLOC_TRIM_THRESHOLD_. glibc's defaults returned each freed activation,
+# gradient and im2col buffer to the OS and faulted it back in on the next
+# step, about 400 minor faults per pretraining step. mallopt acts on the
+# running process, so this works whatever the import order. Other C
+# libraries are left alone.
+def _heap_policy() -> None:
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD is -1 in glibc's malloc.h
+    for var, param, value in (("MALLOC_MMAP_THRESHOLD_", -3, 32 << 20),
+                              ("MALLOC_TRIM_THRESHOLD_", -1, 256 << 20)):
+        if var not in os.environ:
+            mallopt(param, value)
+
+
+_heap_policy()
+
 __version__ = "0.1.0"
 
 from .moo import (

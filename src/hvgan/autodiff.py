@@ -300,16 +300,16 @@ def leaky_relu(x, alpha: float = 0.2) -> Tensor:
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"leaky_relu: alpha must lie in [0, 1], got {alpha}")
-    # slopes[pos] is each element's slope, gathered only when needed, so the
-    # node keeps one byte per element
+    # slopes.take(pos) is each element's slope, gathered only when needed, so
+    # the node keeps one byte per element
     pos = (x.data > 0.0).view(np.uint8)
     slopes = np.array([alpha, 1.0])
 
     def vjp(g):
-        _accumulate(x, g * slopes[pos])
+        _accumulate(x, g * slopes.take(pos))
 
-    # for alpha <= 1 the larger of x and alpha * x is x * slopes[pos], bit for
-    # bit (zeros keep their sign), without a data-dependent branch
+    # for alpha <= 1 the larger of x and alpha * x is x * slopes.take(pos), bit
+    # for bit (zeros keep their sign), without a data-dependent branch
     return _record("leaky_relu", np.maximum(x.data, x.data * alpha), (x,), vjp)
 
 

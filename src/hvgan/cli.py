@@ -9,6 +9,7 @@ only inside run manifests.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -181,26 +182,42 @@ def _load_corpus(config: model.TrainConfig) -> list[ImageBuffer]:
     return images
 
 
+@contextlib.contextmanager
+def _output_dir(out: Path):
+    """Make ``out`` for a run. If the run fails and this call made ``out``,
+    remove it while it is still empty; parent directories stay."""
+    made = not out.is_dir()
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        if made:
+            # rmdir removes only an empty directory
+            with contextlib.suppress(OSError):
+                out.rmdir()
+        raise
+
+
 def cmd_train(args) -> int:
     config, raw_text = _read_config(args.config)
     started = _utc_now()
     images = _load_corpus(config)
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    g, d, pre_rows = model.pretrain(config, images)
-    # written before the adversarial phase, so a failure there keeps it
-    pretrain_path = out / "pretrain.csv"
-    _write_csv(pretrain_path, PRETRAIN_HEADER, pre_rows)
-    history = model.adversarial_phase(g, d, images, config)
+    with _output_dir(out):
+        g, d, pre_rows = model.pretrain(config, images)
+        # written before the adversarial phase, so a failure there keeps it
+        pretrain_path = out / "pretrain.csv"
+        _write_csv(pretrain_path, PRETRAIN_HEADER, pre_rows)
+        history = model.adversarial_phase(g, d, images, config)
 
-    history_path = out / "history.csv"
-    checkpoint_path = out / "checkpoint.hvgn"
-    _write_csv(history_path, HISTORY_HEADER, history)
-    model.save_checkpoint(checkpoint_path, g.params() + d.params())
-    outputs = [str(pretrain_path), str(history_path), str(checkpoint_path)]
-    _write_manifest(out, config, raw_text, started, {"outputs": outputs})
-    print(f"wrote {history_path}")
-    return 0
+        history_path = out / "history.csv"
+        checkpoint_path = out / "checkpoint.hvgn"
+        _write_csv(history_path, HISTORY_HEADER, history)
+        model.save_checkpoint(checkpoint_path, g.params() + d.params())
+        outputs = [str(pretrain_path), str(history_path), str(checkpoint_path)]
+        _write_manifest(out, config, raw_text, started, {"outputs": outputs})
+        print(f"wrote {history_path}")
+        return 0
 
 
 def _load_eval_pairs(paths, channels: int) -> list[tuple[ImageBuffer, ImageBuffer]]:
@@ -259,50 +276,50 @@ def cmd_compare(args) -> int:
     images = _load_corpus(config)
     eval_pairs = _load_eval_pairs(config.eval_list, images[0].channels)
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    g, d, pre_rows = model.pretrain(config, images)
+    with _output_dir(out):
+        g, d, pre_rows = model.pretrain(config, images)
 
-    params = g.params() + d.params()
-    shared_ckpt = out / "pretrained.hvgn"
-    model.save_checkpoint(shared_ckpt, params)
-    ckpt_sha = hashlib.sha256(shared_ckpt.read_bytes()).hexdigest()
-    print(f"pretrained checkpoint sha256 {ckpt_sha}")
-    _write_csv(out / "pretrain.csv", PRETRAIN_HEADER, pre_rows)
-    pretrained = model.get_state(params)
+        params = g.params() + d.params()
+        shared_ckpt = out / "pretrained.hvgn"
+        model.save_checkpoint(shared_ckpt, params)
+        ckpt_sha = hashlib.sha256(shared_ckpt.read_bytes()).hexdigest()
+        print(f"pretrained checkpoint sha256 {ckpt_sha}")
+        _write_csv(out / "pretrain.csv", PRETRAIN_HEADER, pre_rows)
+        pretrained = model.get_state(params)
 
-    outputs = [str(shared_ckpt), str(out / "pretrain.csv")]
-    rows = []
-    for mode_name in COMPARE_MODES:
-        if mode_name == "hv_log_norm":
-            # hv_log_norm differs from hv_log, the mode before it, by the
-            # constant sum_k log(mu_k), so both take the gradient weights
-            # 1/max(mu_k - l_k, eps) and train the same trajectory: reuse
-            # hv_log's rows and metrics, with the normalized scalar
-            history = _normalized_history(history, config)
-        else:
-            # every trained mode starts from the pretrained weights
-            model.set_state(params, pretrained)
-            history = model.adversarial_phase(
-                g, d, images, dataclasses.replace(config, mode=mode_name)
-            )
-            metrics = _evaluate_generator(g, eval_pairs)
-        history_path = out / mode_name / "history.csv"
-        history_path.parent.mkdir(exist_ok=True)
-        _write_csv(history_path, HISTORY_HEADER, history)
-        outputs.append(str(history_path))
-        clamp_events = sum(int(r[8]) for r in history)
-        rows.append((mode_name, *metrics, clamp_events))
+        outputs = [str(shared_ckpt), str(out / "pretrain.csv")]
+        rows = []
+        for mode_name in COMPARE_MODES:
+            if mode_name == "hv_log_norm":
+                # hv_log_norm differs from hv_log, the mode before it, by the
+                # constant sum_k log(mu_k), so both take the gradient weights
+                # 1/max(mu_k - l_k, eps) and train the same trajectory: reuse
+                # hv_log's rows and metrics, with the normalized scalar
+                history = _normalized_history(history, config)
+            else:
+                # every trained mode starts from the pretrained weights
+                model.set_state(params, pretrained)
+                history = model.adversarial_phase(
+                    g, d, images, dataclasses.replace(config, mode=mode_name)
+                )
+                metrics = _evaluate_generator(g, eval_pairs)
+            history_path = out / mode_name / "history.csv"
+            history_path.parent.mkdir(exist_ok=True)
+            _write_csv(history_path, HISTORY_HEADER, history)
+            outputs.append(str(history_path))
+            clamp_events = sum(int(r[8]) for r in history)
+            rows.append((mode_name, *metrics, clamp_events))
 
-    results_path = out / "results.csv"
-    _write_csv(results_path, RESULTS_HEADER, rows)
-    outputs.append(str(results_path))
+        results_path = out / "results.csv"
+        _write_csv(results_path, RESULTS_HEADER, rows)
+        outputs.append(str(results_path))
 
-    _write_manifest(
-        out, config, raw_text, started,
-        {"pretrained_checkpoint_sha256": ckpt_sha, "outputs": outputs},
-    )
-    print(f"wrote {results_path}")
-    return 0
+        _write_manifest(
+            out, config, raw_text, started,
+            {"pretrained_checkpoint_sha256": ckpt_sha, "outputs": outputs},
+        )
+        print(f"wrote {results_path}")
+        return 0
 
 
 def cmd_gradcheck(args) -> int:

@@ -1,13 +1,16 @@
+import ctypes
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hvgan
 from hvgan import cli, data_io, model
 from hvgan.data_io import ImageBuffer, save_image
 from hvgan.model import init_networks, load_checkpoint
@@ -47,6 +50,58 @@ class TestBlasThreads:
     def test_user_setting_wins(self):
         got = self._threads_after_import(OPENBLAS_NUM_THREADS="3")
         assert got == "['3', '1', '1']"
+
+
+def _libc_is_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_is_glibc(), reason="the heap policy is for glibc")
+class TestHeapPolicy:
+    VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+    # minor faults over 50 allocations of an 8 MB array, after one warm-up
+    CHURN = (
+        "import resource, hvgan, numpy as np\n"
+        "np.ones(1 << 20)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(50):\n"
+        "    a = np.ones(1 << 20)\n"
+        "    del a\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+
+    def _faults(self, **overrides):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env.update(overrides)
+        proc = subprocess.run([sys.executable, "-c", self.CHURN], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    def test_freed_buffers_stay_mapped(self):
+        assert self._faults() <= 20
+
+    @pytest.mark.parametrize("var", VARS)
+    def test_user_setting_wins(self, var):
+        # glibc's own default for both; each 8 MB array is faulted in afresh
+        assert self._faults(**{var: "131072"}) > 100
+
+    @pytest.mark.parametrize("reply", ["raise", None])
+    def test_other_c_libraries_are_left_alone(self, monkeypatch, reply):
+        def confstr(name):
+            if reply == "raise":
+                raise ValueError(f"unrecognized configuration name: {name}")
+            return reply
+
+        def cdll(*args, **kwargs):
+            raise AssertionError("libc was loaded")
+
+        monkeypatch.setattr(os, "confstr", confstr)
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        hvgan._heap_policy()
 
 
 class TestHv:
@@ -247,6 +302,21 @@ def _train_config(tmp_path, sub="run", **over):
     return path, cfg
 
 
+_OOM = "Unable to allocate 2.98 TiB for an array"
+
+
+def _oom_config(tmp_path, monkeypatch, phase, **over):
+    """A train/compare config whose ``model.<phase>`` raises ``MemoryError``."""
+    eval_img = tmp_path / "eval.pgm"
+    save_image(ImageBuffer(np.full((1, 16, 16), 0.5)), eval_img)
+
+    def fail(*args):
+        raise MemoryError(_OOM)
+
+    monkeypatch.setattr(model, phase, fail)
+    return _train_config(tmp_path, "run", eval_list=[str(eval_img)], **over)
+
+
 class TestTrain:
     def test_zero_iteration_run(self, tmp_path):
         cfg_path, cfg = _train_config(
@@ -310,6 +380,44 @@ class TestTrain:
         assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3]
         assert all(math.isfinite(float(line.split(",")[1])) for line in lines[1:])
         assert sorted(p.name for p in out.iterdir()) == ["pretrain.csv"]
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_failed_run_removes_the_empty_output_dir_it_made(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        cfg_path, _ = _oom_config(tmp_path, monkeypatch, "pretrain")
+        before = sorted(tmp_path.iterdir())
+        assert cli.main([command, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {_OOM}\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_failed_run_keeps_only_the_parents_it_made(
+        self, tmp_path, monkeypatch, command
+    ):
+        cfg_path, _ = _oom_config(
+            tmp_path, monkeypatch, "pretrain", output_dir=str(tmp_path / "a" / "b")
+        )
+        assert cli.main([command, "--config", str(cfg_path)]) == 1
+        assert (tmp_path / "a").is_dir()
+        assert not (tmp_path / "a" / "b").exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_failed_run_keeps_an_output_dir_that_existed(
+        self, tmp_path, monkeypatch, command
+    ):
+        cfg_path, cfg = _oom_config(tmp_path, monkeypatch, "pretrain")
+        Path(cfg["output_dir"]).mkdir()
+        assert cli.main([command, "--config", str(cfg_path)]) == 1
+        assert list(Path(cfg["output_dir"]).iterdir()) == []
+
+    def test_compare_adversarial_failure_keeps_the_pretraining_artifacts(
+        self, tmp_path, monkeypatch
+    ):
+        cfg_path, cfg = _oom_config(tmp_path, monkeypatch, "adversarial_phase")
+        assert cli.main(["compare", "--config", str(cfg_path)]) == 1
+        kept = sorted(p.name for p in Path(cfg["output_dir"]).iterdir())
+        assert kept == ["pretrain.csv", "pretrained.hvgn"]
 
     def test_checkpoint_holds_the_trained_weights(self, tmp_path):
         cfg_path, _ = _train_config(tmp_path, "ck", adversarial_iters=3)

@@ -5,9 +5,10 @@ the current thread, each op whose inputs require gradients appends the result
 to the tape together with a closure that pushes the output cotangent back to
 the parents. ``Tape.backward`` then sweeps the recorded ops in strict reverse
 order, so by construction every node's gradient is complete before its
-closure fires. The linear ops (``matmul``, ``conv2d``, ``bias_add``) compute
-a parent's gradient only when that parent requires gradients, so constant
-inputs and frozen weights cost no backward work.
+closure fires. One rule holds for every op: a VJP computes only the
+gradients that are kept. A binary op computes a parent's gradient only when
+that parent requires one, and a unary op is recorded only when its parent
+does, so constant inputs and frozen weights cost no backward work.
 
 There is one primitive per operation: ``add``, ``sub``, ``mul``, ``matmul``,
 ``conv2d``, ``bias_add``, ``leaky_relu``, ``sigmoid``, ``log``, ``absolute``,
@@ -21,9 +22,9 @@ Every forward op validates that its result is finite and raises
 immediate, located failure.
 
 No code writes into a ``.grad`` array in place: accumulation always binds a
-new array (``t.grad + g``). So one array may serve as the gradient of several
-tensors, as when ``add`` hands the same cotangent to both operands, and
-``_accumulate`` keeps an owned array that a VJP hands it without a copy.
+new array (``t.grad + g``). So a tensor's first gradient is bound as the VJP
+hands it over, uncopied, even when ``add`` hands the same cotangent to both
+operands or ``reduce_mean`` hands over a read-only broadcast view.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "reduce_mean",
     "mean_spatial",
     "upsample_nearest",
-    "zero_grads",
     "finite_diff_check",
     "gradcheck_suite",
     "PRIMITIVES",
@@ -143,24 +143,10 @@ class Tape:
             node._vjp(node.grad)
 
 
-def zero_grads(params: Sequence[Tensor]) -> None:
-    for p in params:
-        p.grad = None
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` to ``t.grad``. A first gradient that is a float64 array
-    owning its memory is stored as is, possibly shared with other tensors;
-    views (read-only broadcasts, slices of kernel buffers) and other dtypes
-    are copied. Later ones bind a new array, so a shared gradient never
-    changes under another tensor."""
-    if not t.requires_grad:  # a tensor with parents always requires grad
-        return
-    if t.grad is None:
-        owned = isinstance(g, np.ndarray) and g.dtype == np.float64 and g.base is None
-        t.grad = g if owned else np.array(g, dtype=np.float64)
-    else:
-        t.grad = t.grad + g
+    """Bind ``g`` as ``t``'s first gradient; add later ones into a new array,
+    so a shared gradient never changes under another tensor."""
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _as_tensor(x) -> Tensor:
@@ -205,8 +191,10 @@ def add(a, b) -> Tensor:
     _check_broadcast(a, b, "add")
 
     def vjp(g):
-        _accumulate(a, _scalar_side_grad(a, g))
-        _accumulate(b, _scalar_side_grad(b, g))
+        if a.requires_grad:
+            _accumulate(a, _scalar_side_grad(a, g))
+        if b.requires_grad:
+            _accumulate(b, _scalar_side_grad(b, g))
 
     return _record("add", a.data + b.data, (a, b), vjp)
 
@@ -216,8 +204,10 @@ def sub(a, b) -> Tensor:
     _check_broadcast(a, b, "sub")
 
     def vjp(g):
-        _accumulate(a, _scalar_side_grad(a, g))
-        _accumulate(b, _scalar_side_grad(b, -g))
+        if a.requires_grad:
+            _accumulate(a, _scalar_side_grad(a, g))
+        if b.requires_grad:
+            _accumulate(b, _scalar_side_grad(b, -g))
 
     return _record("sub", a.data - b.data, (a, b), vjp)
 
@@ -227,8 +217,10 @@ def mul(a, b) -> Tensor:
     _check_broadcast(a, b, "mul")
 
     def vjp(g):
-        _accumulate(a, _scalar_side_grad(a, g * b.data))
-        _accumulate(b, _scalar_side_grad(b, g * a.data))
+        if a.requires_grad:
+            _accumulate(a, _scalar_side_grad(a, g * b.data))
+        if b.requires_grad:
+            _accumulate(b, _scalar_side_grad(b, g * a.data))
 
     return _record("mul", a.data * b.data, (a, b), vjp)
 

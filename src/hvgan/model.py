@@ -206,7 +206,8 @@ ADAM_EPS = 1e-8
 class Adam:
     """Standard Adam with bias correction and the usual constants
     (``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``); lr is mutable for
-    scheduling."""
+    scheduling. ``step`` sets each ``grad`` it read to None, and reads a
+    missing one as zeros."""
 
     def __init__(self, params: Sequence[ad.Parameter], lr: float):
         self.params = list(params)
@@ -226,6 +227,7 @@ class Adam:
             m_hat = self._m[i] / bc1
             v_hat = self._v[i] / bc2
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            p.grad = None
 
 
 def lr_at(base_lr: float, milestones: Sequence[int], t: int) -> float:
@@ -497,7 +499,6 @@ def pretrain_generator(
             loss = pixel_loss(fake, ad.Tensor(hr_batch), config.norm_p)
             tape.backward(loss)
         opt.step()
-        ad.zero_grads(g.params())
         rows.append((t, loss.item()))
     return rows
 
@@ -516,7 +517,6 @@ def train_step_discriminator(
         loss = disc_loss(logits_real, logits_fake)
         tape.backward(loss)
     opt.step()
-    ad.zero_grads(d.params())
     return loss.item()
 
 
@@ -577,7 +577,6 @@ def train_step_generator(
         )
         tape.backward(total)
     opt.step()
-    ad.zero_grads(opt.params)
     return losses, scalar, weights, clamped
 
 

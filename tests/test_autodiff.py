@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hvgan import autodiff as ad
+from hvgan import model
 from hvgan.autodiff import Parameter, Tape, Tensor
+from hvgan.synth import make_corpus
 
 from oracles import (
     conv2d_naive,
@@ -158,11 +160,56 @@ class TestTapeMechanics:
         assert np.array_equal(b.grad, w)
         assert np.array_equal(a.grad, w + w * scale)
 
-    def test_zero_grads(self):
-        p = Parameter(np.ones(2), name="w")
-        p.grad = np.ones(2)
-        ad.zero_grads([p])
-        assert p.grad is None
+
+class TestEveryGradientIsKept:
+    """No VJP computes a gradient for a tensor that needs none: every call of
+    ``_accumulate`` is for a tensor that requires a gradient."""
+
+    @pytest.fixture
+    def dropped(self, monkeypatch):
+        shapes = []
+        real = ad._accumulate
+
+        def kept_only(t, g):
+            if not t.requires_grad:
+                shapes.append(t.data.shape)
+            real(t, g)
+
+        monkeypatch.setattr(ad, "_accumulate", kept_only)
+        return shapes
+
+    @staticmethod
+    def _config(**over):
+        return model.TrainConfig(
+            dataset="unused", output_dir="unused", seed=5, pretrain_iters=1,
+            adversarial_iters=1, batch_size=2, patch_size=8, lr=1e-3,
+            gen_width=4, disc_width=4, **over,
+        )
+
+    def test_pretrain_step(self, dropped):
+        cfg = self._config()
+        g, _ = model.init_networks(cfg.seed, 1, cfg.gen_width, cfg.disc_width)
+        model.pretrain_generator(g, make_corpus(seed=5, count=2, size=16), cfg)
+        assert dropped == []
+
+    @pytest.mark.parametrize("norm_p", [1, 2])
+    @pytest.mark.parametrize("adversarial", ["relativistic", "standard"])
+    def test_adversarial_iteration(self, dropped, adversarial, norm_p):
+        cfg = self._config(adversarial=adversarial, norm_p=norm_p)
+        g, d = model.init_networks(cfg.seed, 1, cfg.gen_width, cfg.disc_width)
+        model.adversarial_phase(g, d, make_corpus(seed=5, count=2, size=16), cfg)
+        assert dropped == []
+
+    @pytest.mark.parametrize("name", sorted(ad.PRIMITIVES))
+    def test_primitive(self, dropped, name):
+        # all inputs trained, then each input in turn held constant
+        fn, arrays = ad.PRIMITIVES[name](0)
+        for frozen in [None, *range(len(arrays))] if len(arrays) > 1 else [None]:
+            inputs = [Tensor(a) if i == frozen else Parameter(a, name=f"p{i}")
+                      for i, a in enumerate(arrays)]
+            with Tape() as tape:
+                tape.backward(fn(inputs))
+            assert dropped == [], f"input {frozen} held constant"
 
 
 class TestForwardValues:

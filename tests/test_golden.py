@@ -1,6 +1,6 @@
 """Golden reference: pinned outputs of a tiny training run on a 1-channel and
 on a 3-channel corpus, of a tiny ``compare`` run, of ``eval``, of
-``hv --mc``, of ``pareto`` and of the exact hypervolume.
+``hv --mc``, of ``pareto``, of ``gradcheck`` and of the exact hypervolume.
 
 The values below were recorded once and are compared against, not against a
 rerun of the current code. A refactor that keeps them passes; one that moves
@@ -279,6 +279,28 @@ EVAL_STDOUT = {
     "synth_pair": "5.877919,0.040837,0.229275\n",
 }
 
+# `hvgan gradcheck` stdout: each primitive's worst relative error over its ten
+# seeded trials, as printed.
+GRADCHECK_STDOUT = (
+    "absolute 4.63e-09\n"
+    "add 2.41e-09\n"
+    "bias_add 4.24e-08\n"
+    "clip 1.45e-09\n"
+    "conv2d 6.24e-07\n"
+    "leaky_relu 1.36e-09\n"
+    "log 6.35e-10\n"
+    "matmul 3.11e-09\n"
+    "mean_spatial 9.7e-11\n"
+    "mul 1.37e-09\n"
+    "reduce_mean 7.34e-11\n"
+    "reduce_sum 3.94e-10\n"
+    "scalar_broadcast 5.05e-10\n"
+    "sigmoid 7.88e-10\n"
+    "square 2.39e-09\n"
+    "sub 3.03e-09\n"
+    "upsample_nearest 1.56e-08\n"
+)
+
 
 def _train_tiny(root, corpus):
     """The test_determinism tiny config on ``corpus``, trained once."""
@@ -474,3 +496,8 @@ def test_eval_stdout_is_pinned(tmp_path, capsys, name):
         args += [f"--{role}", str(path)]
     assert cli.main(args) == 0
     assert capsys.readouterr().out == EVAL_STDOUT[name]
+
+
+def test_gradcheck_stdout_is_pinned(capsys):
+    assert cli.main(["gradcheck"]) == 0
+    assert capsys.readouterr().out == GRADCHECK_STDOUT

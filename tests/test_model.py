@@ -140,6 +140,20 @@ class TestAdam:
         want = adam_reference(start, grads, lr=0.05)
         assert np.allclose(p.data, want, rtol=0, atol=1e-15)
 
+    def test_step_consumes_its_gradients(self):
+        # a gradient on the first step only: later steps read zeros, and the
+        # first moment keeps moving the parameter
+        rng = np.random.default_rng(122)
+        start, g0 = rng.standard_normal(3), rng.standard_normal(3)
+        p = ad.Parameter(start.copy(), name="w")
+        opt = Adam([p], lr=0.05)
+        p.grad = g0
+        for _ in range(3):
+            opt.step()
+            assert p.grad is None
+        want = adam_reference(start, [g0, np.zeros(3), np.zeros(3)], lr=0.05)
+        assert np.allclose(p.data, want, rtol=0, atol=1e-15)
+
     def test_first_step_size_is_about_lr(self):
         p = ad.Parameter(np.zeros(4), name="w")
         opt = Adam([p], lr=1e-3)
@@ -460,7 +474,6 @@ class TestGeneratorStep:
             )
             tape.backward(loss)
         opt.step()
-        ad.zero_grads(g2.params() + d2.params())
 
         s1, s2 = get_state(g1.params()), get_state(g2.params())
         for name in s1:

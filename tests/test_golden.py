@@ -1,6 +1,7 @@
 """Golden reference: pinned outputs of a tiny training run on a 1-channel and
-on a 3-channel corpus, of a tiny ``compare`` run, of ``eval``, of
-``hv --mc``, of ``pareto``, of ``gradcheck`` and of the exact hypervolume.
+on a 3-channel corpus, of a tiny ``compare`` run, of three ``train`` and two
+``compare`` runs at the default shape, of ``eval``, of ``hv --mc``, of
+``pareto``, of ``gradcheck`` and of the exact hypervolume.
 
 The values below were recorded once and are compared against, not against a
 rerun of the current code. A refactor that keeps them passes; one that moves
@@ -302,6 +303,272 @@ GRADCHECK_STDOUT = (
 )
 
 
+# Runs at the default shape (batch 4, patch 48, widths 16/8) on an 8-image
+# 64x64 synth corpus (seed 3), with 4 pretraining and 4 adversarial
+# iterations and every other key at its default except each run's "config"
+# overrides. G conv1-3 and D conv2 take the default-width conv paths there,
+# which the tiny runs above never reach. A compare run evaluates on the
+# corpus's first two images.
+# pretrain.csv rows of every default-shape run, by norm_p
+DEFAULT_SHAPE_PRETRAIN = {
+    1: [
+        [1, 0.26244343770665646],
+        [2, 0.22481151227939306],
+        [3, 0.3070791999577483],
+        [4, 0.29089356325034565],
+    ],
+    2: [
+        [1, 0.09728527945464954],
+        [2, 0.07349206772564235],
+        [3, 0.12354366280774338],
+        [4, 0.11341817285126991],
+    ],
+}
+# history.csv rows and checkpoint.hvgn norms of each train config
+DEFAULT_SHAPE_TRAIN = {
+    "relativistic_hv_log": {
+        "config": {},
+        "history": [
+            [1, 1.3791652211704422, 0.40894924060991095, 0.1005355142529683,
+             8.598748791416199, 0.05370328515759789, 1000000.0, 0.10101556517928537, 1,
+             0.0001],
+            [2, 1.369816332437809, 0.20844833294178025, 0.05552542173033925,
+             8.593710436543324, 0.053676336092227724, 1000000.0, 0.10055835450423566,
+             1, 0.0001],
+            [3, 1.385317740399921, 0.2602991665340697, 0.06691435059111651,
+             8.595688749927998, 0.05372103515139367, 1000000.0, 0.10067365119916286, 1,
+             0.0001],
+            [4, 1.3887696899448851, 0.23124170834698676, 0.06026933427802487,
+             8.595205455038949, 0.05373099915161056, 1000000.0, 0.10060634776036607, 1,
+             0.0001],
+        ],
+        "norms": [
+            ("g.conv1.w", 3.8401799703208424),
+            ("g.conv1.b", 0.0017196539752899899),
+            ("g.conv2.w", 4.009419381014561),
+            ("g.conv2.b", 0.001225652378965852),
+            ("g.conv3.w", 3.9747673373376746),
+            ("g.conv3.b", 0.001428281235006093),
+            ("g.conv4.w", 0.931531216540612),
+            ("g.conv4.b", 0.00022272493516076837),
+            ("d.conv1.w", 2.899240628222853),
+            ("d.conv1.b", 0.0007955440149670188),
+            ("d.conv2.w", 3.9823762738096162),
+            ("d.conv2.b", 0.001255402151033753),
+            ("d.fc.w", 0.7718066652505753),
+            ("d.fc.b", 0.00039824564468828185),
+        ],
+    },
+    "relativistic_linear": {
+        "config": {"mode": "linear"},
+        "history": [
+            [1, 1.3791652211704422, 0.40894924060991095, 0.1005355142529683,
+             0.11152083276491963, 0.005, 0.01, 1.0, 0, 0.0001],
+            [2, 1.369814406813067, 0.20844955303316923, 0.055525773855308644,
+             0.06445934141970568, 0.005, 0.01, 1.0, 0, 0.0001],
+            [3, 1.3853155736632368, 0.2602959026277696, 0.06691314747735304,
+             0.07644268437194691, 0.005, 0.01, 1.0, 0, 0.0001],
+            [4, 1.3887662925425708, 0.2312444135638238, 0.06026980831272802,
+             0.06952608391107912, 0.005, 0.01, 1.0, 0, 0.0001],
+        ],
+        "norms": [
+            ("g.conv1.w", 3.8401256410089135),
+            ("g.conv1.b", 0.0016852428485273309),
+            ("g.conv2.w", 4.00944389592162),
+            ("g.conv2.b", 0.0013195296221437005),
+            ("g.conv3.w", 3.974746196288792),
+            ("g.conv3.b", 0.0014135286060601908),
+            ("g.conv4.w", 0.9315481229195225),
+            ("g.conv4.b", 0.0002166379566083234),
+            ("d.conv1.w", 2.899240620550132),
+            ("d.conv1.b", 0.0007955390071872477),
+            ("d.conv2.w", 3.9823762705505352),
+            ("d.conv2.b", 0.001255404678913032),
+            ("d.fc.w", 0.771806652557601),
+            ("d.fc.b", 0.00039824535637882454),
+        ],
+    },
+    "standard_hv_log_norm_p2_pre": {
+        "config": {
+            "adversarial": "standard", "mode": "hv_log_norm", "norm_p": 2,
+            "feature_tap": "pre",
+        },
+        "history": [
+            [1, 0.7286218272893256, 0.1847885773338708, 0.07256506876536487,
+             13.826443282772553, 0.005018282149548286, 1000000.0, 0.10073095486667007,
+             1, 0.0001],
+            [2, 0.7264303952220011, 0.06420767476793904, 0.028241732511959827,
+             1.0339036275656714, 0.005018226962980157, 27.938950417902724,
+             0.10028321717950223, 0, 0.0001],
+            [3, 0.7257656613011021, 0.0960034204500517, 0.039487181915159784,
+             3.2273232666378893, 0.0050182102233063295, 250.2139610890352,
+             0.10039643723808542, 0, 0.0001],
+            [4, 0.72459329997891, 0.0782783979693526, 0.03410825616695293,
+             1.5339091364062323, 0.005018180700568578, 46.037120033277546,
+             0.10034224991645187, 0, 0.0001],
+        ],
+        "norms": [
+            ("g.conv1.w", 3.840124489776593),
+            ("g.conv1.b", 0.0016176442485754863),
+            ("g.conv2.w", 4.009309681187949),
+            ("g.conv2.b", 0.0013430106341384147),
+            ("g.conv3.w", 3.974706940585827),
+            ("g.conv3.b", 0.0014751485210331512),
+            ("g.conv4.w", 0.9316642520716403),
+            ("g.conv4.b", 7.753200911649058e-05),
+            ("d.conv1.w", 2.8992403820225263),
+            ("d.conv1.b", 0.0007955221156738874),
+            ("d.conv2.w", 3.982370572409831),
+            ("d.conv2.b", 0.0012553251884492205),
+            ("d.fc.w", 0.7718060938623588),
+            ("d.fc.b", 0.0003982242930952937),
+        ],
+    },
+}
+# printed checkpoint sha256, results.csv rows, every <mode>/history.csv
+# and the pretrained.hvgn norms of each compare config
+DEFAULT_SHAPE_COMPARE = {
+    "relativistic": {
+        "config": {},
+        "sha256": (
+            "340b218584c613da77fe8779b8de4493"
+            "8745a738091a3df3da55d120928ef304"
+        ),
+        "results": [
+            ["linear", 12.1209757029928, 0.31959015591678097, 0.14896478700079224, 0],
+            ["hv_log", 12.12097991440574, 0.3195597863599569, 0.1490216117825, 4],
+            ["hv_log_norm", 12.12097991440574, 0.3195597863599569, 0.1490216117825, 4],
+        ],
+        "history": {
+            "linear": [
+                [1, 1.3791652211704422, 0.40894924060991095, 0.1005355142529683,
+                 0.11152083276491963, 0.005, 0.01, 1.0, 0, 0.0001],
+                [2, 1.369814406813067, 0.20844955303316923, 0.055525773855308644,
+                 0.06445934141970568, 0.005, 0.01, 1.0, 0, 0.0001],
+                [3, 1.3853155736632368, 0.2602959026277696, 0.06691314747735304,
+                 0.07644268437194691, 0.005, 0.01, 1.0, 0, 0.0001],
+                [4, 1.3887662925425708, 0.2312444135638238, 0.06026980831272802,
+                 0.06952608391107912, 0.005, 0.01, 1.0, 0, 0.0001],
+            ],
+            "hv_log": [
+                [1, 1.3791652211704422, 0.40894924060991095, 0.1005355142529683,
+                 8.598748791416199, 0.05370328515759789, 1000000.0,
+                 0.10101556517928537, 1, 0.0001],
+                [2, 1.369816332437809, 0.20844833294178025, 0.05552542173033925,
+                 8.593710436543324, 0.053676336092227724, 1000000.0,
+                 0.10055835450423566, 1, 0.0001],
+                [3, 1.385317740399921, 0.2602991665340697, 0.06691435059111651,
+                 8.595688749927998, 0.05372103515139367, 1000000.0,
+                 0.10067365119916286, 1, 0.0001],
+                [4, 1.3887696899448851, 0.23124170834698676, 0.06026933427802487,
+                 8.595205455038949, 0.05373099915161056, 1000000.0,
+                 0.10060634776036607, 1, 0.0001],
+            ],
+            "hv_log_norm": [
+                [1, 1.3791652211704422, 0.40894924060991095, 0.1005355142529683,
+                 13.897066157964234, 0.05370328515759789, 1000000.0,
+                 0.10101556517928537, 1, 0.0001],
+                [2, 1.369816332437809, 0.20844833294178025, 0.05552542173033925,
+                 13.89202780309136, 0.053676336092227724, 1000000.0,
+                 0.10055835450423566, 1, 0.0001],
+                [3, 1.385317740399921, 0.2602991665340697, 0.06691435059111651,
+                 13.894006116476033, 0.05372103515139367, 1000000.0,
+                 0.10067365119916286, 1, 0.0001],
+                [4, 1.3887696899448851, 0.23124170834698676, 0.06026933427802487,
+                 13.893522821586986, 0.05373099915161056, 1000000.0,
+                 0.10060634776036607, 1, 0.0001],
+            ],
+        },
+        "norms": [
+            ("g.conv1.w", 3.8404786738703787),
+            ("g.conv1.b", 0.0009300567847932782),
+            ("g.conv2.w", 4.009221384449033),
+            ("g.conv2.b", 0.0007867480095672674),
+            ("g.conv3.w", 3.9749184218069162),
+            ("g.conv3.b", 0.000769672368804063),
+            ("g.conv4.w", 0.9320644749883994),
+            ("g.conv4.b", 0.00017683589053718512),
+            ("d.conv1.w", 2.899319699142186),
+            ("d.conv1.b", 0.0),
+            ("d.conv2.w", 3.9825096809331337),
+            ("d.conv2.b", 0.0),
+            ("d.fc.w", 0.771912068244514),
+            ("d.fc.b", 0.0),
+        ],
+    },
+    "standard": {
+        "config": {"adversarial": "standard"},
+        "sha256": (
+            "340b218584c613da77fe8779b8de4493"
+            "8745a738091a3df3da55d120928ef304"
+        ),
+        "results": [
+            ["linear", 12.121065348700526, 0.3195899664937877, 0.14896227567768422, 0],
+            ["hv_log", 12.120979914734011, 0.31955978637117294, 0.14902161179231824,
+             4],
+            ["hv_log_norm", 12.120979914734011, 0.31955978637117294,
+             0.14902161179231824, 4],
+        ],
+        "history": {
+            "linear": [
+                [1, 0.7286166403841816, 0.40894924060991095, 0.1005355142529683,
+                 0.10826808986098832, 0.005, 0.01, 1.0, 0, 0.0001],
+                [2, 0.7264237209782813, 0.20844854055565923, 0.055525485722018986,
+                 0.06124208973246698, 0.005, 0.01, 1.0, 0, 0.0001],
+                [3, 0.7258256127552976, 0.26029605155980673, 0.06691319985799671,
+                 0.07314528843737127, 0.005, 0.01, 1.0, 0, 0.0001],
+                [4, 0.7247336736043165, 0.23124408761282933, 0.06026969603741545,
+                 0.06620580528156533, 0.005, 0.01, 1.0, 0, 0.0001],
+            ],
+            "hv_log": [
+                [1, 0.7286166403841816, 0.40894924060991095, 0.1005355142529683,
+                 6.228362263478283, 0.00501828201892565, 1000000.0,
+                 0.10101556517928537, 1, 0.0001],
+                [2, 0.7264244817522183, 0.20844833294178025, 0.05552542173033925,
+                 6.2238148478402024, 0.005018226814063606, 1000000.0,
+                 0.10055835450423566, 1, 0.0001],
+                [3, 0.7258264324035812, 0.26029916653410723, 0.06691435059115156,
+                 6.2249577549453825, 0.005018211753671064, 1000000.0,
+                 0.1006736511991632, 1, 0.0001],
+                [4, 0.7247350870992315, 0.23124170834507732, 0.06026933427750217,
+                 6.224283523970046, 0.005018184271073883, 1000000.0,
+                 0.10060634776036077, 1, 0.0001],
+            ],
+            "hv_log_norm": [
+                [1, 0.7286166403841816, 0.40894924060991095, 0.1005355142529683,
+                 13.829264723020364, 0.00501828201892565, 1000000.0,
+                 0.10101556517928537, 1, 0.0001],
+                [2, 0.7264244817522183, 0.20844833294178025, 0.05552542173033925,
+                 13.824717307382285, 0.005018226814063606, 1000000.0,
+                 0.10055835450423566, 1, 0.0001],
+                [3, 0.7258264324035812, 0.26029916653410723, 0.06691435059115156,
+                 13.825860214487465, 0.005018211753671064, 1000000.0,
+                 0.1006736511991632, 1, 0.0001],
+                [4, 0.7247350870992315, 0.23124170834507732, 0.06026933427750217,
+                 13.825185983512126, 0.005018184271073883, 1000000.0,
+                 0.10060634776036077, 1, 0.0001],
+            ],
+        },
+        "norms": [
+            ("g.conv1.w", 3.8404786738703787),
+            ("g.conv1.b", 0.0009300567847932782),
+            ("g.conv2.w", 4.009221384449033),
+            ("g.conv2.b", 0.0007867480095672674),
+            ("g.conv3.w", 3.9749184218069162),
+            ("g.conv3.b", 0.000769672368804063),
+            ("g.conv4.w", 0.9320644749883994),
+            ("g.conv4.b", 0.00017683589053718512),
+            ("d.conv1.w", 2.899319699142186),
+            ("d.conv1.b", 0.0),
+            ("d.conv2.w", 3.9825096809331337),
+            ("d.conv2.b", 0.0),
+            ("d.fc.w", 0.771912068244514),
+            ("d.fc.b", 0.0),
+        ],
+    },
+}
+
+
 def _train_tiny(root, corpus):
     """The test_determinism tiny config on ``corpus``, trained once."""
     cfg = {
@@ -410,15 +677,19 @@ def tiny_compare(tmp_path_factory):
     return root / "out"
 
 
-def test_compare_results_match_pinned_values(tiny_compare):
-    with open(tiny_compare / "results.csv", newline="") as fh:
+def _assert_results(path, results):
+    with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["mode", "psnr", "ssim", "gmsd", "clamp_events"]
-    assert len(rows) - 1 == len(COMPARE_RESULTS)
-    for got, want in zip(rows[1:], COMPARE_RESULTS):
+    assert len(rows) - 1 == len(results)
+    for got, want in zip(rows[1:], results):
         assert got[0] == want[0]
         assert [float(v) for v in got[1:4]] == pytest.approx(want[1:4], rel=REL, abs=0)
         assert int(got[4]) == want[4]
+
+
+def test_compare_results_match_pinned_values(tiny_compare):
+    _assert_results(tiny_compare / "results.csv", COMPARE_RESULTS)
 
 
 @pytest.mark.parametrize("mode", sorted(COMPARE_HISTORY))
@@ -501,3 +772,48 @@ def test_eval_stdout_is_pinned(tmp_path, capsys, name):
 def test_gradcheck_stdout_is_pinned(capsys):
     assert cli.main(["gradcheck"]) == 0
     assert capsys.readouterr().out == GRADCHECK_STDOUT
+
+
+@pytest.fixture(scope="module")
+def default_shape_corpus(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("golden_default_shape") / "corpus"
+    write_corpus(corpus, seed=3, count=8, size=64)
+    return corpus
+
+
+def _run_default_shape(root, corpus, command, overrides):
+    cfg = {
+        "dataset": str(corpus), "output_dir": str(root / "out"),
+        "pretrain_iters": 4, "adversarial_iters": 4, **overrides,
+    }
+    if command == "compare":
+        cfg["eval_list"] = [str(corpus / "img_000.pgm"), str(corpus / "img_001.pgm")]
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(cfg_path)]) == 0
+    return root / "out"
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_SHAPE_TRAIN))
+def test_default_shape_train_matches_pinned_values(tmp_path, default_shape_corpus, name):
+    want = DEFAULT_SHAPE_TRAIN[name]
+    out = _run_default_shape(tmp_path, default_shape_corpus, "train", want["config"])
+    norm_p = want["config"].get("norm_p", 1)
+    _assert_csv_rows(out / "pretrain.csv", PRETRAIN_HEADER, DEFAULT_SHAPE_PRETRAIN[norm_p])
+    _assert_csv_rows(out / "history.csv", HISTORY_HEADER, want["history"])
+    _assert_norms(out / "checkpoint.hvgn", want["norms"])
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_SHAPE_COMPARE))
+def test_default_shape_compare_matches_pinned_values(
+    tmp_path, capsys, default_shape_corpus, name
+):
+    want = DEFAULT_SHAPE_COMPARE[name]
+    out = _run_default_shape(tmp_path, default_shape_corpus, "compare", want["config"])
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == f"pretrained checkpoint sha256 {want['sha256']}"
+    _assert_csv_rows(out / "pretrain.csv", PRETRAIN_HEADER, DEFAULT_SHAPE_PRETRAIN[1])
+    _assert_results(out / "results.csv", want["results"])
+    for mode, rows in want["history"].items():
+        _assert_csv_rows(out / mode / "history.csv", HISTORY_HEADER, rows)
+    _assert_norms(out / "pretrained.hvgn", want["norms"])

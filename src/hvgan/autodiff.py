@@ -5,7 +5,11 @@ the current thread, each op whose inputs require gradients appends the result
 to the tape together with a closure that pushes the output cotangent back to
 the parents. ``Tape.backward`` then sweeps the recorded ops in strict reverse
 order, so by construction every node's gradient is complete before its
-closure fires. One rule holds for every op: a VJP computes only the
+closure fires. The sweep frees the graph as it goes: each node leaves the
+tape, and drops its gradient, closure and parents, before its closure
+fires, so the activations and gradients the caller does not hold are freed
+as soon as nothing later in the sweep needs them. Only leaves keep a
+``.grad``, and a tape is swept once. One rule holds for every op: a VJP computes only the
 gradients that are kept. A binary op computes a parent's gradient only when
 that parent requires one, and a unary op is recorded only when its parent
 does, so constant inputs and frozen weights cost no backward work.
@@ -114,12 +118,17 @@ class Tape:
     """Records ops on the current thread while active as a context manager.
 
     A tape can be entered again after it exits: it keeps the nodes recorded
-    so far, so one ``backward`` covers ops from every span."""
+    so far, so one ``backward`` covers ops from every span. ``backward``
+    consumes the tape: a spent tape can be neither entered nor swept again.
+    ``len`` stays the number of ops recorded."""
 
     def __init__(self):
-        self._nodes: list[Tensor] = []
+        self._nodes: list[Tensor | None] = []
+        self._spent = False
 
     def __enter__(self) -> "Tape":
+        if self._spent:
+            raise RuntimeError("tape already swept by backward: record on a new tape")
         _STACK.tapes.append(self)
         return self
 
@@ -133,14 +142,25 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(node) into ``.grad`` for every ancestor."""
+        """Accumulate d(loss)/d(leaf) into ``.grad`` for every leaf ancestor.
+
+        Each node leaves the tape, and gives up its gradient, VJP and
+        parents, just before its VJP fires, so the graph is freed as the
+        sweep passes it: only leaves keep a ``.grad``."""
+        if self._spent:
+            raise RuntimeError("tape already swept by backward")
         if loss.data.shape != ():
             raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        self._spent = True
         loss.grad = np.ones((), dtype=np.float64)
-        for node in reversed(self._nodes):
-            if node.grad is None:
-                continue
-            node._vjp(node.grad)
+        nodes = self._nodes
+        for i in range(len(nodes) - 1, -1, -1):
+            node = nodes[i]
+            nodes[i] = None
+            g, vjp = node.grad, node._vjp
+            node.grad, node._vjp, node._parents = None, None, ()
+            if g is not None:
+                vjp(g)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

@@ -42,6 +42,9 @@ __all__ = [
 
 MAX_HV_DIM = 6
 MAX_HV_POINTS = 32
+# hypervolume_mc draws its samples in blocks of about this many coordinates
+# (1 MiB of float64), so its memory does not grow with the sample count
+MC_BLOCK_VALUES = 1 << 17
 
 
 class Orientation(Enum):
@@ -242,8 +245,13 @@ def hypervolume_mc(
     if box_vol == 0.0:
         return 0.0, 0.0
     rng = np.random.default_rng(seed)
-    draws = rng.uniform(ideal, ref, size=(samples, ref.size))
-    hits = kernels.count_dominated(draws, pts)
+    # Blocks drawn in order consume the stream exactly as one draw of all
+    # samples would, so the estimate does not depend on the block size.
+    block = max(1, MC_BLOCK_VALUES // ref.size)
+    hits = 0
+    for start in range(0, samples, block):
+        m = min(block, samples - start)
+        hits += kernels.count_dominated(rng.uniform(ideal, ref, size=(m, ref.size)), pts)
     frac = hits / samples
     est = frac * box_vol
     stderr = box_vol * float(np.sqrt(frac * (1.0 - frac) / samples))

@@ -8,6 +8,7 @@ package under test.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -31,6 +32,24 @@ def hv_inclusion_exclusion(points: np.ndarray, ref: np.ndarray) -> float:
             if np.all(side >= 0.0):
                 total += sign * float(np.prod(side))
     return total
+
+
+def hypervolume_mc_one_draw(
+    points: np.ndarray, ref: np.ndarray, samples: int, seed: int
+) -> tuple[float, float]:
+    """Monte-Carlo hypervolume (minimize) and its binomial standard error
+    from one ``uniform`` draw of all samples in the box between the best
+    corner of ``points`` and ``ref``."""
+    pts = np.asarray(points, dtype=np.float64)
+    ref = np.asarray(ref, dtype=np.float64)
+    ideal = pts.min(axis=0)
+    box_vol = math.prod(r - i for r, i in zip(ref.tolist(), ideal.tolist()))
+    draws = np.random.default_rng(seed).uniform(ideal, ref, size=(samples, ref.size))
+    dominated = np.zeros(samples, dtype=bool)
+    for p in pts:
+        dominated |= (draws >= p).all(axis=1)
+    frac = int(dominated.sum()) / samples
+    return frac * box_vol, box_vol * float(np.sqrt(frac * (1.0 - frac) / samples))
 
 
 def pareto_brute(rows: list) -> list:

@@ -1,4 +1,5 @@
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -159,6 +160,51 @@ class TestTapeMechanics:
             tape.backward(ad.reduce_sum(ad.mul(ad.add(both, first), Tensor(w))))
         assert np.array_equal(b.grad, w)
         assert np.array_equal(a.grad, w + w * scale)
+
+
+class TestBackwardFreesTheGraph:
+    """``backward`` frees each node as it sweeps it: afterwards only the
+    leaves keep a gradient, and the tape is spent."""
+
+    def _swept(self):
+        x = Parameter(np.array([1.0, -2.0, 3.0]), name="x")
+        with Tape() as tape:
+            h = ad.square(x)
+            probe = weakref.ref(h.data)
+            loss = ad.reduce_sum(ad.mul(h, 3.0))
+            nodes = list(tape._nodes)
+            del h
+            assert probe() is not None
+            tape.backward(loss)
+        return x, tape, probe, nodes, loss
+
+    def test_an_activation_the_caller_dropped_is_freed(self):
+        _, _, probe, nodes, _ = self._swept()
+        del nodes
+        assert probe() is None
+
+    def test_swept_nodes_keep_no_gradient_vjp_or_parents(self):
+        x, _, _, nodes, loss = self._swept()
+        assert len(nodes) == 3
+        for node in nodes:
+            assert node.grad is None and node._vjp is None and node._parents == ()
+        # the leaf keeps its gradient, and the loss its value
+        assert np.array_equal(x.grad, [6.0, -12.0, 18.0])
+        assert loss.item() == 42.0
+
+    def test_len_still_counts_the_recorded_ops(self):
+        _, tape, _, _, _ = self._swept()
+        assert len(tape) == 3
+
+    def test_a_spent_tape_cannot_be_swept_or_entered_again(self):
+        _, tape, _, _, loss = self._swept()
+        with pytest.raises(RuntimeError, match="already swept"):
+            tape.backward(loss)
+        with pytest.raises(RuntimeError, match="already swept"):
+            with tape:
+                pass
+        # the failed entry left no tape active on this thread
+        assert ad.mul(Parameter(np.ones(2), name="y"), 2.0).requires_grad is False
 
 
 class TestEveryGradientIsKept:

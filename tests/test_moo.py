@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hvgan.moo import (
     MAX_HV_DIM,
     MAX_HV_POINTS,
+    MC_BLOCK_VALUES,
     Orientation,
     PointSet,
     dominates,
@@ -12,7 +15,7 @@ from hvgan.moo import (
     pareto_filter,
 )
 
-from oracles import hv_inclusion_exclusion, pareto_brute
+from oracles import hv_inclusion_exclusion, hypervolume_mc_one_draw, pareto_brute
 
 MIN = Orientation.MINIMIZE
 MAX = Orientation.MAXIMIZE
@@ -313,3 +316,25 @@ class TestHypervolumeMC:
     def test_maximize_orientation(self):
         est, stderr = hypervolume_mc(pset([(1, 1)], MAX), (0, 0), 10**5, seed=4)
         assert est == 1.0 and stderr == 0.0
+
+    @pytest.mark.parametrize("dim", [3, 6])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "2B+3"])
+    def test_blocks_give_the_estimate_of_one_draw(self, dim, extra):
+        block = MC_BLOCK_VALUES // dim
+        samples = 2 * block + 3 if extra == "2B+3" else block + extra
+        pts = np.random.default_rng([41, dim]).uniform(size=(8, dim))
+        ref = np.full(dim, 1.0)
+        got = hypervolume_mc(pset(pts), ref, samples, seed=17)
+        assert got == hypervolume_mc_one_draw(pts, ref, samples, seed=17)
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        pts = np.random.default_rng(43).uniform(size=(8, 6))
+        s = pset(pts)
+        tracemalloc.start()
+        try:
+            hypervolume_mc(s, np.full(6, 1.0), 10**6, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one draw of 10**6 x 6 doubles alone would be 48 MB
+        assert peak < 8e6

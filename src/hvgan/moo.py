@@ -140,7 +140,8 @@ def pareto_filter(s: PointSet) -> PointSet:
 
 def _to_min_arrays(s: PointSet, r) -> tuple[np.ndarray, np.ndarray]:
     """Validate shapes and return minimize-oriented (pts, ref)."""
-    ref = np.array(_check_finite_values(r, "reference point"), dtype=np.float64)
+    given = _check_finite_values(r, "reference point")
+    ref = np.array(given, dtype=np.float64)
     if len(s) == 0:
         return np.zeros((0, ref.size)), ref
     dim = s.values.shape[1]
@@ -156,7 +157,8 @@ def _to_min_arrays(s: PointSet, r) -> tuple[np.ndarray, np.ndarray]:
         i = int(bad[0])
         raise ValueError(
             f"reference point is not weakly dominated by point {i}: "
-            f"point {tuple(pts[i])} vs reference {tuple(ref)} (minimize-oriented)"
+            f"point {tuple(s.values[i].tolist())} vs reference {given} "
+            f"({s.orientation.value})"
         )
     return pts, ref
 

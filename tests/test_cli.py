@@ -126,6 +126,16 @@ class TestHv:
         assert proc.returncode == 1
         assert "point 1" in proc.stderr
 
+    def test_reference_violation_prints_the_given_values_under_max(self, tmp_path):
+        pts = tmp_path / "v.csv"
+        pts.write_text("0.1,0.9,0.5\n")
+        proc = run_cli("hv", str(pts), "--ref", "1,1,1", "--orient", "max")
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: reference point is not weakly dominated by point 0: "
+            "point (0.1, 0.9, 0.5) vs reference (1.0, 1.0, 1.0) (maximize)\n"
+        )
+
     def test_max_orientation(self, tmp_path):
         pts = tmp_path / "m.csv"
         pts.write_text("2,1\n1,2\n")

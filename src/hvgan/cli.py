@@ -1,7 +1,10 @@
 """Command-line surface: MOO utilities, training, evaluation, comparison.
 
 Exit codes: 0 success, 1 validation or precondition failure or a request for
-more memory than the machine has, 2 I/O failure.
+more memory than the machine has, 2 I/O failure, 141 (128 + SIGPIPE, the
+status a shell gives a writer that the pipe signal ended) when the reader of
+stdout closed it early, as in ``hvgan pareto front.csv | head -1``; that case
+prints nothing on stderr.
 Every command is deterministic given its inputs; wall-clock timestamps appear
 only inside run manifests.
 """
@@ -13,6 +16,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -35,6 +39,8 @@ from .scalarize import scalarize
 from .synth import write_corpus
 
 GRADCHECK_GATE = 1e-4
+
+EXIT_BROKEN_PIPE = 141
 
 _ORIENTATIONS = {"min": Orientation.MINIMIZE, "max": Orientation.MAXIMIZE}
 
@@ -420,7 +426,15 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_attach_negative_ref(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so that a reader that left is seen below and not in
+        # the flush at shutdown
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout goes to devnull, so the flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, FloatingPointError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -801,6 +801,43 @@ class TestGradcheck:
             assert math.isfinite(err) and err <= 1e-4
 
 
+class TestBrokenPipe:
+    """A reader that closes stdout early ends the command quietly."""
+
+    def _read_lines(self, count, *args):
+        """Start ``hvgan *args``, read ``count`` lines of its stdout, close
+        the pipe, and return (lines, exit code, stderr)."""
+        env = {**os.environ, "PYTHONUNBUFFERED": "1"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hvgan", *args], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        lines = [proc.stdout.readline() for _ in range(count)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return lines, proc.wait(timeout=120), err
+
+    def test_pareto_front_larger_than_the_pipe(self, tmp_path):
+        # about 340 kB of nondominated rows: more than a pipe holds, so the
+        # writer is still writing when the reader leaves after one line
+        n = 3000
+        rows = [(i + 0.5) / (n + 1) for i in range(n)]
+        text = "".join(f"{a!r},{1 - a!r},{a!r},{1 - a!r},{a!r},{1 - a!r}\n" for a in rows)
+        assert len(text) > 1 << 18
+        pts = tmp_path / "front.csv"
+        pts.write_text(text)
+        lines, code, err = self._read_lines(1, "pareto", str(pts))
+        assert lines == [text.splitlines(keepends=True)[0]]
+        assert (code, err) == (cli.EXIT_BROKEN_PIPE, "")
+
+    def test_gradcheck(self):
+        # gradcheck prints only after its checks, so a reader that leaves
+        # at once is surely gone by then
+        lines, code, err = self._read_lines(0, "gradcheck")
+        assert (code, err) == (cli.EXIT_BROKEN_PIPE, "")
+
+
 class TestSynthCommand:
     def test_writes_corpus(self, tmp_path):
         proc = run_cli("synth", "--out", str(tmp_path / "c"),

@@ -9,10 +9,12 @@ closure fires. The sweep frees the graph as it goes: each node leaves the
 tape, and drops its gradient, closure and parents, before its closure
 fires, so the activations and gradients the caller does not hold are freed
 as soon as nothing later in the sweep needs them. Only leaves keep a
-``.grad``, and a tape is swept once. One rule holds for every op: a VJP computes only the
-gradients that are kept. A binary op computes a parent's gradient only when
-that parent requires one, and a unary op is recorded only when its parent
-does, so constant inputs and frozen weights cost no backward work.
+``.grad``, and a tape is swept once.
+
+One rule holds for every op: a VJP computes only the gradients that are
+kept. A binary op computes a parent's gradient only when that parent
+requires one, and a unary op is recorded only when its parent does, so
+constant inputs and frozen weights cost no backward work.
 
 There is one primitive per operation: ``add``, ``sub``, ``mul``, ``matmul``,
 ``conv2d``, ``bias_add``, ``leaky_relu``, ``sigmoid``, ``log``, ``absolute``,
@@ -142,11 +144,8 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into ``.grad`` for every leaf ancestor.
-
-        Each node leaves the tape, and gives up its gradient, VJP and
-        parents, just before its VJP fires, so the graph is freed as the
-        sweep passes it: only leaves keep a ``.grad``."""
+        """Accumulate d(loss)/d(leaf) into ``.grad`` for every leaf ancestor,
+        freeing each node as it is swept (see the module docstring)."""
         if self._spent:
             raise RuntimeError("tape already swept by backward")
         if loss.data.shape != ():

@@ -1,20 +1,39 @@
 """Minimal tape-based reverse-mode automatic differentiation over numpy.
 
 Forward ops run eagerly on float64 arrays. When a :class:`Tape` is active on
-the current thread, each op whose inputs require gradients appends the result
-to the tape together with a closure that pushes the output cotangent back to
-the parents. ``Tape.backward`` then sweeps the recorded ops in strict reverse
-order, so by construction every node's gradient is complete before its
-closure fires. The sweep frees the graph as it goes: each node leaves the
-tape, and drops its gradient, closure and parents, before its closure
-fires, so the activations and gradients the caller does not hold are freed
-as soon as nothing later in the sweep needs them. Only leaves keep a
-``.grad``, and a tape is swept once.
+the current thread, each op whose inputs require gradients gives its result a
+graph node and appends the node to the tape. ``Tape.backward`` then sweeps the
+recorded nodes in strict reverse order, so by construction every node's
+gradient is complete before its VJP fires. The sweep frees the graph as it
+goes: each node leaves the tape, and drops its gradient, VJP and parents,
+before its VJP fires, so the gradients nothing holds are freed as soon as
+nothing later in the sweep needs them. Only leaves keep a ``.grad``, and a
+tape is swept once.
+
+A node holds no values: a gradient slot, its parents' nodes and its VJP,
+which closes over only the arrays it reads (the rule of PyTorch's saved
+tensors). A leaf (a :class:`Parameter`, or any tensor no op produced) is its
+own node; an op result keeps its node apart from its values, so an
+activation dies with the caller's last reference, before ``backward``,
+unless a VJP reads it. What each VJP keeps:
+
+- ``conv2d``: the input's values only when the weight needs a gradient, the
+  weight's only when the input does
+- ``mul`` and ``matmul``: for each side, only the other operand's values
+- ``leaky_relu``: its uint8 sign mask; ``clip``: its bool mask
+- ``sigmoid``: its output; ``log``, ``absolute`` and ``square``: their input
+- ``add``, ``sub``, ``bias_add``, ``reduce_sum``, ``reduce_mean``,
+  ``mean_spatial`` and ``upsample_nearest``: only shapes
+
+An input that needs no gradient (a constant, a frozen weight) gets no node:
+VJPs keep nothing of it, and it appears among a node's parents as one shared
+placeholder.
 
 One rule holds for every op: a VJP computes only the gradients that are
 kept. A binary op computes a parent's gradient only when that parent
-requires one, and a unary op is recorded only when its parent does, so
-constant inputs and frozen weights cost no backward work.
+required one when the op was recorded, and a unary op is recorded only when
+its parent does, so constant inputs and frozen weights cost no backward
+work.
 
 There is one primitive per operation: ``add``, ``sub``, ``mul``, ``matmul``,
 ``conv2d``, ``bias_add``, ``leaky_relu``, ``sigmoid``, ``log``, ``absolute``,
@@ -28,7 +47,7 @@ Every forward op validates that its result is finite and raises
 immediate, located failure.
 
 No code writes into a ``.grad`` array in place: accumulation always binds a
-new array (``t.grad + g``). So a tensor's first gradient is bound as the VJP
+new array (``node.grad + g``). So a node's first gradient is bound as the VJP
 hands it over, uncopied, even when ``add`` hands the same cotangent to both
 operands or ``reduce_mean`` hands over a read-only broadcast view.
 """
@@ -76,17 +95,57 @@ class _TapeStack(threading.local):
 _STACK = _TapeStack()
 
 
-class Tensor:
-    """A float64 array plus the bookkeeping needed for reverse mode."""
+class _Node:
+    """What ``backward`` needs of one tensor, and none of its values: a
+    gradient slot, whether it requires a gradient, its parents' nodes and its
+    VJP."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("grad", "requires_grad", "_parents", "_vjp")
+
+    def __init__(self, parents: tuple = (), vjp: Callable | None = None,
+                 requires_grad: bool = True):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self._parents = parents
+        self._vjp = vjp
+
+
+# stands in, among a node's parents, for every input that needs no gradient
+_CONSTANT = _Node(requires_grad=False)
+
+
+def _on_node(slot: str) -> property:
+    """A tensor attribute kept on its node: the tensor's own slot for a leaf,
+    the separate node of an op result."""
+    field = _Node.__dict__[slot]
+
+    def get(t):
+        return field.__get__(t if t._node is None else t._node)
+
+    def set_(t, value):
+        field.__set__(t if t._node is None else t._node, value)
+
+    return property(get, set_)
+
+
+class Tensor(_Node):
+    """A float64 array plus the bookkeeping needed for reverse mode.
+
+    A leaf (a tensor no op produced) is its own node. A recorded op result
+    keeps its node in ``_node``, so the tape can hold the node while the
+    values die with the last reference the caller holds."""
+
+    __slots__ = ("data", "_node")
+
+    grad = _on_node("grad")
+    requires_grad = _on_node("requires_grad")
+    _parents = _on_node("_parents")
+    _vjp = _on_node("_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._vjp = None
+        self._node = None
+        _Node.__init__(self, requires_grad=bool(requires_grad))
 
     @property
     def shape(self):
@@ -125,7 +184,7 @@ class Tape:
     ``len`` stays the number of ops recorded."""
 
     def __init__(self):
-        self._nodes: list[Tensor | None] = []
+        self._nodes: list[_Node | None] = []
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -162,10 +221,10 @@ class Tape:
                 vjp(g)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Bind ``g`` as ``t``'s first gradient; add later ones into a new array,
-    so a shared gradient never changes under another tensor."""
-    t.grad = g if t.grad is None else t.grad + g
+def _accumulate(node: _Node, g: np.ndarray) -> None:
+    """Bind ``g`` as ``node``'s first gradient; add later ones into a new
+    array, so a shared gradient never changes under another node."""
+    node.grad = g if node.grad is None else node.grad + g
 
 
 def _as_tensor(x) -> Tensor:
@@ -174,23 +233,34 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def _record(opname: str, data: np.ndarray, parents: tuple, vjp: Callable) -> Tensor:
+def _grad_node(t: Tensor) -> _Node | None:
+    """The node a VJP pushes ``t``'s gradient into: None when no tape is
+    recording on this thread or ``t`` requires no gradient, so a VJP keeps
+    nothing of a constant."""
+    if not _STACK.tapes:
+        return None
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
+def _record(opname: str, data: np.ndarray, nodes: tuple, vjp: Callable) -> Tensor:
+    """The op result ``data``; recorded, with a node of its own, when any of
+    the parents' grad nodes ``nodes`` (from ``_grad_node``) is not None."""
     if not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values produced by op '{opname}'")
     out = Tensor(data)
-    tapes = _STACK.tapes
-    if tapes and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
-        tapes[-1]._nodes.append(out)
+    if any(n is not None for n in nodes):
+        node = _Node(tuple(_CONSTANT if n is None else n for n in nodes), vjp)
+        out._node = node
+        _STACK.tapes[-1]._nodes.append(node)
     return out
 
 
-def _scalar_side_grad(t: Tensor, g: np.ndarray) -> np.ndarray:
-    """Reduce a broadcast cotangent back to a ()-shaped operand. A ()-shaped
-    cotangent passes as is, since ``np.sum(-0.0)`` is +0.0."""
-    return np.sum(g) if t.data.shape == () and np.ndim(g) else g
+def _scalar_side_grad(scalar: bool, g: np.ndarray) -> np.ndarray:
+    """Reduce a broadcast cotangent back to a ()-shaped operand (``scalar``).
+    A ()-shaped cotangent passes as is, since ``np.sum(-0.0)`` is +0.0."""
+    return np.sum(g) if scalar and np.ndim(g) else g
 
 
 def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> None:
@@ -208,40 +278,49 @@ def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> None:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "add")
+    an, bn = _grad_node(a), _grad_node(b)
+    a0, b0 = a.data.shape == (), b.data.shape == ()
 
     def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, _scalar_side_grad(a, g))
-        if b.requires_grad:
-            _accumulate(b, _scalar_side_grad(b, g))
+        if an is not None:
+            _accumulate(an, _scalar_side_grad(a0, g))
+        if bn is not None:
+            _accumulate(bn, _scalar_side_grad(b0, g))
 
-    return _record("add", a.data + b.data, (a, b), vjp)
+    return _record("add", a.data + b.data, (an, bn), vjp)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "sub")
+    an, bn = _grad_node(a), _grad_node(b)
+    a0, b0 = a.data.shape == (), b.data.shape == ()
 
     def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, _scalar_side_grad(a, g))
-        if b.requires_grad:
-            _accumulate(b, _scalar_side_grad(b, -g))
+        if an is not None:
+            _accumulate(an, _scalar_side_grad(a0, g))
+        if bn is not None:
+            _accumulate(bn, _scalar_side_grad(b0, -g))
 
-    return _record("sub", a.data - b.data, (a, b), vjp)
+    return _record("sub", a.data - b.data, (an, bn), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "mul")
+    an, bn = _grad_node(a), _grad_node(b)
+    a0, b0 = a.data.shape == (), b.data.shape == ()
+    # each side keeps only the values the other side's gradient reads
+    a_vals = a.data if bn is not None else None
+    b_vals = b.data if an is not None else None
 
     def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, _scalar_side_grad(a, g * b.data))
-        if b.requires_grad:
-            _accumulate(b, _scalar_side_grad(b, g * a.data))
+        if an is not None:
+            _accumulate(an, _scalar_side_grad(a0, g * b_vals))
+        if bn is not None:
+            _accumulate(bn, _scalar_side_grad(b0, g * a_vals))
 
-    return _record("mul", a.data * b.data, (a, b), vjp)
+    return _record("mul", a.data * b.data, (an, bn), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +333,17 @@ def matmul(a, b) -> Tensor:
         raise ValueError(
             f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape}"
         )
+    an, bn = _grad_node(a), _grad_node(b)
+    a_vals = a.data if bn is not None else None
+    b_vals = b.data if an is not None else None
 
     def vjp(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+        if an is not None:
+            _accumulate(an, g @ b_vals.T)
+        if bn is not None:
+            _accumulate(bn, a_vals.T @ g)
 
-    return _record("matmul", a.data @ b.data, (a, b), vjp)
+    return _record("matmul", a.data @ b.data, (an, bn), vjp)
 
 
 def conv2d(x, w) -> Tensor:
@@ -274,14 +356,19 @@ def conv2d(x, w) -> Tensor:
     kh, kw = w.data.shape[2], w.data.shape[3]
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d: kernel extents must be odd, got ({kh}, {kw})")
+    xn, wn = _grad_node(x), _grad_node(w)
+    # the input's values only for a weight gradient, the weights only for an
+    # input gradient
+    x_vals = x.data if wn is not None else None
+    w_vals = w.data if xn is not None else None
 
     def vjp(g):
-        if x.requires_grad:
-            _accumulate(x, kernels.conv2d_grad_input(g, w.data))
-        if w.requires_grad:
-            _accumulate(w, kernels.conv2d_grad_weight(x.data, g, kh, kw))
+        if xn is not None:
+            _accumulate(xn, kernels.conv2d_grad_input(g, w_vals))
+        if wn is not None:
+            _accumulate(wn, kernels.conv2d_grad_weight(x_vals, g, kh, kw))
 
-    return _record("conv2d", kernels.conv2d_forward(x.data, w.data), (x, w), vjp)
+    return _record("conv2d", kernels.conv2d_forward(x.data, w.data), (xn, wn), vjp)
 
 
 def bias_add(x, b) -> Tensor:
@@ -291,14 +378,15 @@ def bias_add(x, b) -> Tensor:
         raise ValueError(
             f"bias_add: need (N,C,H,W) and (C,), got {x.data.shape} and {b.data.shape}"
         )
+    xn, bn = _grad_node(x), _grad_node(b)
 
     def vjp(g):
-        if x.requires_grad:
-            _accumulate(x, g)
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=(0, 2, 3)))
+        if xn is not None:
+            _accumulate(xn, g)
+        if bn is not None:
+            _accumulate(bn, g.sum(axis=(0, 2, 3)))
 
-    return _record("bias_add", x.data + b.data[None, :, None, None], (x, b), vjp)
+    return _record("bias_add", x.data + b.data[None, :, None, None], (xn, bn), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +399,18 @@ def leaky_relu(x, alpha: float = 0.2) -> Tensor:
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"leaky_relu: alpha must lie in [0, 1], got {alpha}")
+    xn = _grad_node(x)
     # slopes.take(pos) is each element's slope, gathered only when needed, so
-    # the node keeps one byte per element
-    pos = (x.data > 0.0).view(np.uint8)
-    slopes = np.array([alpha, 1.0])
+    # the VJP keeps one byte per element
+    pos = (x.data > 0.0).view(np.uint8) if xn is not None else None
 
     def vjp(g):
-        _accumulate(x, g * slopes.take(pos))
+        slopes = np.array([alpha, 1.0])
+        _accumulate(xn, g * slopes.take(pos))
 
     # for alpha <= 1 the larger of x and alpha * x is x * slopes.take(pos), bit
     # for bit (zeros keep their sign), without a data-dependent branch
-    return _record("leaky_relu", np.maximum(x.data, x.data * alpha), (x,), vjp)
+    return _record("leaky_relu", np.maximum(x.data, x.data * alpha), (xn,), vjp)
 
 
 def sigmoid(x) -> Tensor:
@@ -332,40 +421,44 @@ def sigmoid(x) -> Tensor:
     e = np.exp(-np.abs(d))
     s = 1.0 + e
     y = np.where(d >= 0.0, 1.0 / s, e / s)
+    xn = _grad_node(x)
 
     def vjp(g):
-        _accumulate(x, g * y * (1.0 - y))
+        _accumulate(xn, g * y * (1.0 - y))
 
-    return _record("sigmoid", y, (x,), vjp)
+    return _record("sigmoid", y, (xn,), vjp)
 
 
 def log(x) -> Tensor:
     x = _as_tensor(x)
     if np.any(x.data <= 0.0):
         raise FloatingPointError("log: inputs must be strictly positive")
+    xn, d = _grad_node(x), x.data
 
     def vjp(g):
-        _accumulate(x, g / x.data)
+        _accumulate(xn, g / d)
 
-    return _record("log", np.log(x.data), (x,), vjp)
+    return _record("log", np.log(d), (xn,), vjp)
 
 
 def absolute(x) -> Tensor:
     x = _as_tensor(x)
+    xn, d = _grad_node(x), x.data
 
     def vjp(g):
-        _accumulate(x, g * np.sign(x.data))
+        _accumulate(xn, g * np.sign(d))
 
-    return _record("absolute", np.abs(x.data), (x,), vjp)
+    return _record("absolute", np.abs(d), (xn,), vjp)
 
 
 def square(x) -> Tensor:
     x = _as_tensor(x)
+    xn, d = _grad_node(x), x.data
 
     def vjp(g):
-        _accumulate(x, g * (2.0 * x.data))
+        _accumulate(xn, g * (2.0 * d))
 
-    return _record("square", x.data * x.data, (x,), vjp)
+    return _record("square", d * d, (xn,), vjp)
 
 
 def clip(x, lo: float, hi: float) -> Tensor:
@@ -374,12 +467,13 @@ def clip(x, lo: float, hi: float) -> Tensor:
     lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise ValueError(f"clip: need lo < hi, got ({lo}, {hi})")
-    mask = (x.data >= lo) & (x.data <= hi)
+    xn = _grad_node(x)
+    mask = (x.data >= lo) & (x.data <= hi) if xn is not None else None
 
     def vjp(g):
-        _accumulate(x, g * mask)
+        _accumulate(xn, g * mask)
 
-    return _record("clip", np.clip(x.data, lo, hi), (x,), vjp)
+    return _record("clip", np.clip(x.data, lo, hi), (xn,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +482,22 @@ def clip(x, lo: float, hi: float) -> Tensor:
 
 def reduce_sum(x) -> Tensor:
     x = _as_tensor(x)
+    xn, shape = _grad_node(x), x.data.shape
 
     def vjp(g):
-        _accumulate(x, np.broadcast_to(g, x.data.shape))
+        _accumulate(xn, np.broadcast_to(g, shape))
 
-    return _record("reduce_sum", np.asarray(x.data.sum()), (x,), vjp)
+    return _record("reduce_sum", np.asarray(x.data.sum()), (xn,), vjp)
 
 
 def reduce_mean(x) -> Tensor:
     x = _as_tensor(x)
-    n = x.data.size
+    xn, shape, n = _grad_node(x), x.data.shape, x.data.size
 
     def vjp(g):
-        _accumulate(x, np.broadcast_to(g / n, x.data.shape))
+        _accumulate(xn, np.broadcast_to(g / n, shape))
 
-    return _record("reduce_mean", np.asarray(x.data.mean()), (x,), vjp)
+    return _record("reduce_mean", np.asarray(x.data.mean()), (xn,), vjp)
 
 
 def mean_spatial(x) -> Tensor:
@@ -410,12 +505,13 @@ def mean_spatial(x) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ValueError(f"mean_spatial: need (N,C,H,W), got {x.data.shape}")
-    hw = x.data.shape[2] * x.data.shape[3]
+    xn, shape = _grad_node(x), x.data.shape
+    hw = shape[2] * shape[3]
 
     def vjp(g):
-        _accumulate(x, np.broadcast_to(g[:, :, None, None] / hw, x.data.shape))
+        _accumulate(xn, np.broadcast_to(g[:, :, None, None] / hw, shape))
 
-    return _record("mean_spatial", x.data.mean(axis=(2, 3)), (x,), vjp)
+    return _record("mean_spatial", x.data.mean(axis=(2, 3)), (xn,), vjp)
 
 
 def upsample_nearest(x, factor: int) -> Tensor:
@@ -432,6 +528,7 @@ def upsample_nearest(x, factor: int) -> Tensor:
     for i in range(f):
         for j in range(f):
             y[:, :, i::f, j::f] = x.data
+    xn = _grad_node(x)
 
     def vjp(g):
         # Each input pixel gets the sum of its f*f output taps, in the order
@@ -448,9 +545,9 @@ def upsample_nearest(x, factor: int) -> Tensor:
                 for j in range(1, f):
                     row = row + g[:, :, i::f, j::f]
                 gx = gx + row
-        _accumulate(x, gx)
+        _accumulate(xn, gx)
 
-    return _record("upsample_nearest", y, (x,), vjp)
+    return _record("upsample_nearest", y, (xn,), vjp)
 
 
 # ---------------------------------------------------------------------------

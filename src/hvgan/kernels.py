@@ -179,8 +179,8 @@ def count_dominated(samples: np.ndarray, points: np.ndarray) -> int:
     hit = np.empty_like(dominated)
     cmp = np.empty_like(dominated)
     for p in points:
-        hit.fill(True)
-        for col, v in zip(cols, p, strict=True):
+        np.greater_equal(cols[0], p[0], out=hit)
+        for col, v in zip(cols[1:], p[1:], strict=True):
             np.greater_equal(col, v, out=cmp)
             hit &= cmp
         dominated |= hit

@@ -249,11 +249,18 @@ def hypervolume_mc(
     rng = np.random.default_rng(seed)
     # Blocks drawn in order consume the stream exactly as one draw of all
     # samples would, so the estimate does not depend on the block size.
+    # Each block is drawn into one reused buffer as ``ideal + (ref - ideal) *
+    # U``, the arithmetic of ``rng.uniform``, so the bits are the same too.
     block = max(1, MC_BLOCK_VALUES // ref.size)
+    buf = np.empty((min(block, samples), ref.size))
+    side = ref - ideal
     hits = 0
     for start in range(0, samples, block):
-        m = min(block, samples - start)
-        hits += kernels.count_dominated(rng.uniform(ideal, ref, size=(m, ref.size)), pts)
+        draw = buf[: min(block, samples - start)]
+        rng.random(out=draw)
+        draw *= side
+        draw += ideal
+        hits += kernels.count_dominated(draw, pts)
     frac = hits / samples
     est = frac * box_vol
     stderr = box_vol * float(np.sqrt(frac * (1.0 - frac) / samples))

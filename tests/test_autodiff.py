@@ -174,7 +174,9 @@ class TestBackwardFreesTheGraph:
             loss = ad.reduce_sum(ad.mul(h, 3.0))
             nodes = list(tape._nodes)
             del h
-            assert probe() is not None
+            # no VJP reads h (square keeps x, mul keeps 3.0), so its values
+            # die with the caller's reference, before backward
+            assert probe() is None
             tape.backward(loss)
         return x, tape, probe, nodes, loss
 
@@ -209,17 +211,17 @@ class TestBackwardFreesTheGraph:
 
 class TestEveryGradientIsKept:
     """No VJP computes a gradient for a tensor that needs none: every call of
-    ``_accumulate`` is for a tensor that requires a gradient."""
+    ``_accumulate`` is for a node that requires a gradient."""
 
     @pytest.fixture
     def dropped(self, monkeypatch):
         shapes = []
         real = ad._accumulate
 
-        def kept_only(t, g):
-            if not t.requires_grad:
-                shapes.append(t.data.shape)
-            real(t, g)
+        def kept_only(node, g):
+            if not node.requires_grad:
+                shapes.append(np.shape(g))
+            real(node, g)
 
         monkeypatch.setattr(ad, "_accumulate", kept_only)
         return shapes
@@ -256,6 +258,105 @@ class TestEveryGradientIsKept:
             with Tape() as tape:
                 tape.backward(fn(inputs))
             assert dropped == [], f"input {frozen} held constant"
+
+
+class TestTheTapeKeepsOnlyWhatBackwardReads:
+    """A node holds its parents' nodes and the arrays its VJP reads, never
+    values of its own: what the tape keeps alive before ``backward`` is a
+    byte count fixed by the network shapes."""
+
+    F = 8  # bytes per float64; a mask keeps one byte per element
+    N, C, HR, GW, DW = 4, 1, 48, 16, 8  # the default training shape
+    EXTRACTOR = (8, 16, 16)
+
+    @staticmethod
+    def _held_bytes(tape) -> int:
+        """nbytes of the distinct arrays the tape's VJP closures hold."""
+        held = {}
+        for node in tape._nodes:
+            for cell in node._vjp.__closure__:
+                value = cell.cell_contents
+                if isinstance(value, np.ndarray):
+                    held[id(value)] = value.nbytes
+        return sum(held.values())
+
+    def _conv_w(self, o, i):
+        return o * i * 9 * self.F
+
+    def _d_step_bytes(self):
+        f, n, c, px, dw = self.F, self.N, self.C, self.HR**2, self.DW
+        # D(real) and D(fake.detach()), both with trained weights
+        inputs = 2 * n * px * (c + dw) * f + 2 * n * 2 * dw * f  # conv1-2, fc
+        weights = self._conv_w(2 * dw, dw) + 2 * dw * f  # shared by both calls
+        masks = 2 * n * px * (dw + 2 * dw) + 2 * n  # leaky_relu, clip
+        sigmoid_outputs = log_inputs = 2 * n * f
+        mul_operands = f  # the -1.0
+        return inputs + weights + masks + sigmoid_outputs + log_inputs + mul_operands
+
+    def _g_step_bytes(self, adversarial):
+        f, n, c, gw, dw = self.F, self.N, self.C, self.GW, self.DW
+        lr, px = self.HR // 4, self.HR**2
+        k = 2 if adversarial == "relativistic" else 1  # sigmoids of the loss
+        ext = (c, *self.EXTRACTOR)
+        # G's conv inputs, whose weights train
+        inputs = n * f * (c * lr**2 + gw * lr**2 + gw * (2 * lr) ** 2 + gw * px)
+        # frozen D, the extractor and G conv2-4 pass input gradients back
+        weights = (
+            2 * self._conv_w(gw, gw) + self._conv_w(c, gw)
+            + self._conv_w(dw, c) + self._conv_w(2 * dw, dw) + 2 * dw * f
+            + sum(self._conv_w(o, i) for i, o in zip(ext, ext[1:]))
+        )
+        masks = (
+            n * gw * (2 * lr**2 + (2 * lr) ** 2)  # G conv1-3
+            + n * px * (dw + 2 * dw)  # D(fake)
+            + n * px * sum(self.EXTRACTOR)  # extractor, tapped post
+            + k * n  # clip
+        )
+        sigmoid_outputs = n * c * px * f + k * n * f  # fake, then the loss
+        log_inputs = k * n * f
+        absolute_inputs = n * px * (c + self.EXTRACTOR[-1]) * f  # l_pix, l_fea
+        mul_operands = 4 * f  # the -1.0 and the three loss weights
+        return (inputs + weights + masks + sigmoid_outputs + log_inputs
+                + absolute_inputs + mul_operands)
+
+    @pytest.mark.parametrize("adversarial", ["relativistic", "standard"])
+    def test_held_bytes_at_the_default_shape(self, monkeypatch, adversarial):
+        held = []
+        real = ad.Tape.backward
+
+        def counted(tape, loss):
+            held.append(self._held_bytes(tape))
+            real(tape, loss)
+
+        monkeypatch.setattr(ad.Tape, "backward", counted)
+        cfg = model.TrainConfig(
+            dataset="unused", output_dir="unused", seed=5, pretrain_iters=0,
+            adversarial_iters=1, adversarial=adversarial,
+        )
+        assert (cfg.batch_size, cfg.patch_size, cfg.gen_width, cfg.disc_width) == (
+            self.N, self.HR, self.GW, self.DW
+        )
+        g, d = model.init_networks(cfg.seed, self.C, cfg.gen_width, cfg.disc_width)
+        model.adversarial_phase(g, d, make_corpus(seed=5, count=2, size=64), cfg)
+        assert held == [self._d_step_bytes(), self._g_step_bytes(adversarial)]
+
+    def test_bias_add_and_frozen_conv_outputs_die_when_dropped(self):
+        rng = np.random.default_rng(0)
+        x = Parameter(rng.standard_normal((2, 3, 5, 5)), name="x")
+        w = Parameter(rng.standard_normal((4, 3, 3, 3)), name="w")
+        w.requires_grad = False  # frozen, as D is in the generator step
+        b = Parameter(np.zeros(4), name="b")
+        with Tape() as tape:
+            h = ad.conv2d(x, w)
+            conv_out = weakref.ref(h.data)
+            z = ad.bias_add(h, b)
+            bias_out = weakref.ref(z.data)
+            loss = ad.reduce_sum(ad.leaky_relu(z, 0.2))
+            del h, z
+            assert conv_out() is None and bias_out() is None
+            tape.backward(loss)
+        assert x.grad.shape == x.data.shape and b.grad.shape == (4,)
+        assert w.grad is None
 
 
 class TestForwardValues:

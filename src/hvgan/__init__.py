@@ -5,6 +5,8 @@ and Monte-Carlo hypervolume), a negative-log-hypervolume loss scalarizer with
 its induced gradient weights, a minimal tape-based reverse-mode autodiff, a
 GAN loss zoo, tiny conv generator/discriminator nets with Adam and a
 two-phase training loop, PSNR/SSIM/GMSD metrics, and PGM/PPM image plumbing.
+The package root exports only ``__version__``; import everything else from
+its module (``from hvgan.moo import pareto_filter``).
 """
 
 import os
@@ -47,31 +49,4 @@ _heap_policy()
 
 __version__ = "0.1.0"
 
-from .moo import (
-    Orientation,
-    PointSet,
-    dominates,
-    pareto_filter,
-    hypervolume_exact,
-    hypervolume_mc,
-)
-from .scalarize import (
-    hv_log_loss,
-    hv_log_loss_normalized,
-    gradient_weights,
-    linear_fixed,
-)
-
-__all__ = [
-    "__version__",
-    "Orientation",
-    "PointSet",
-    "dominates",
-    "pareto_filter",
-    "hypervolume_exact",
-    "hypervolume_mc",
-    "hv_log_loss",
-    "hv_log_loss_normalized",
-    "gradient_weights",
-    "linear_fixed",
-]
+__all__ = ["__version__"]

@@ -67,11 +67,11 @@ def _utc_now() -> str:
 
 
 def _read_config(path) -> tuple[model.TrainConfig, str]:
-    """The parsed config and its raw text, which the manifest keeps verbatim.
-    Text that is not UTF-8, not JSON, or nested too deep for the parser is
-    rejected by path."""
+    """The parsed config and its raw text, which the manifest keeps verbatim
+    without a leading UTF-8 byte-order mark. Text that is not UTF-8, not
+    JSON, or nested too deep for the parser is rejected by path."""
     try:
-        raw_text = Path(path).read_text(encoding="utf-8")
+        raw_text = Path(path).read_text(encoding="utf-8-sig")
         raw = json.loads(raw_text)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"{path}: {e}") from None

@@ -8,8 +8,8 @@ round-trip behaviour is testable to the bit.
 
 Every ``ImageBuffer`` is checked on construction (shape, finiteness, range)
 and keeps a read-only copy of its pixels; ``load_image``,
-``bicubic_downscale``, ``nearest_upscale``, ``model.apply_generator`` and
-``synth`` all build one. Training patches are plain (C,H,W) arrays:
+``bicubic_downscale``, ``model.apply_generator`` and ``synth`` all build
+one. Training patches are plain (C,H,W) arrays:
 ``random_patch_pair`` crops a view of an image's read-only pixels and
 downscales it, and ``augment_with_rng`` flips and turns both as views. The
 bicubic weight matrix of each ``(n_in, factor)`` is built once and cached.
@@ -33,11 +33,9 @@ __all__ = [
     "save_image",
     "write_atomic",
     "bicubic_downscale",
-    "nearest_upscale",
-    "extract_patches",
-    "augment",
+    "random_patch_pair",
+    "augment_with_rng",
     "read_points_csv",
-    "bicubic_weights",
 ]
 
 _BICUBIC_A = -0.5
@@ -184,15 +182,10 @@ def _keys(t: np.ndarray) -> np.ndarray:
     return np.where(t <= 1.0, near, np.where(t < 2.0, far, 0.0))
 
 
-def bicubic_weights(n_in: int, factor: int) -> np.ndarray:
-    """(n_in/factor, n_in) row-stochastic resampling matrix, edge-clamped.
-    The caller gets its own writable copy of the cached matrix."""
-    return _bicubic_matrix(int(n_in), int(factor)).copy()
-
-
 @functools.lru_cache(maxsize=32)
 def _bicubic_matrix(n_in: int, factor: int) -> np.ndarray:
-    """``bicubic_weights``, built once per ``(n_in, factor)``; read-only."""
+    """(n_in/factor, n_in) row-stochastic resampling matrix, edge-clamped;
+    built once per ``(n_in, factor)`` and read-only."""
     n_out = n_in // factor
     mat = np.zeros((n_out, n_in))
     for i in range(n_out):
@@ -226,14 +219,6 @@ def bicubic_downscale(img: ImageBuffer, factor: int = 4) -> ImageBuffer:
     return ImageBuffer(_downscale(img.data, factor))
 
 
-def nearest_upscale(img: ImageBuffer, factor: int = 4) -> ImageBuffer:
-    """Pixel-replication upscale (the no-learning baseline)."""
-    factor = int(factor)
-    if factor < 1:
-        raise ValueError(f"nearest_upscale: factor must be >= 1, got {factor}")
-    return ImageBuffer(np.repeat(np.repeat(img.data, factor, axis=1), factor, axis=2))
-
-
 # ---------------------------------------------------------------------------
 # patches and augmentation
 # ---------------------------------------------------------------------------
@@ -257,17 +242,6 @@ def random_patch_pair(
     return _downscale(hr, 4), hr
 
 
-def extract_patches(
-    img: ImageBuffer, patch_size: int, count: int, seed
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Seeded uniform-random ``(lr, hr)`` patch pairs; count 0 gives an
-    empty list."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    rng = np.random.default_rng(seed)
-    return [random_patch_pair(img, patch_size, rng) for _ in range(int(count))]
-
-
 def augment_with_rng(
     lr: np.ndarray, hr: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -289,19 +263,16 @@ def augment_with_rng(
     return apply(lr), apply(hr)
 
 
-def augment(lr: np.ndarray, hr: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
-    return augment_with_rng(lr, hr, np.random.default_rng(seed))
-
-
 # ---------------------------------------------------------------------------
 # points CSV
 # ---------------------------------------------------------------------------
 
 def read_points_csv(path, orientation: Orientation) -> PointSet:
-    """Headerless CSV of finite objective vectors, one per line; errors name
-    the file, and the line where there is one."""
+    """Headerless UTF-8 CSV of finite objective vectors, one per line, with
+    or without a byte-order mark; errors name the file, and the line where
+    there is one."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: {e}") from None
     rows = []

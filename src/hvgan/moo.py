@@ -1,4 +1,4 @@
-"""Pareto dominance, nondominated filtering, and hypervolume computation.
+"""Pareto filtering and hypervolume computation.
 
 A ``PointSet`` is one read-only float64 ``(k, n)`` array of k points in n
 objectives, plus the one ``Orientation`` that all of them share, so a set
@@ -32,7 +32,6 @@ from . import kernels
 __all__ = [
     "Orientation",
     "PointSet",
-    "dominates",
     "pareto_filter",
     "hypervolume_exact",
     "hypervolume_mc",
@@ -50,15 +49,6 @@ MC_BLOCK_VALUES = 1 << 17
 class Orientation(Enum):
     MINIMIZE = "minimize"
     MAXIMIZE = "maximize"
-
-
-def _check_finite_values(values: Sequence[float], what: str) -> tuple:
-    vals = tuple(float(v) for v in values)
-    if len(vals) == 0:
-        raise ValueError(f"{what}: need at least one component")
-    if not all(np.isfinite(v) for v in vals):
-        raise ValueError(f"{what}: components must be finite, got {vals}")
-    return vals
 
 
 @dataclass(frozen=True)
@@ -109,17 +99,6 @@ class PointSet:
         return self.values.shape[0]
 
 
-def dominates(a: Sequence[float], b: Sequence[float], orientation: Orientation) -> bool:
-    """True iff a is at least as good as b everywhere and strictly better once."""
-    av = np.array(_check_finite_values(a, "dominates"))
-    bv = np.array(_check_finite_values(b, "dominates"))
-    if av.size != bv.size:
-        raise ValueError(f"dominates: lengths differ ({av.size} vs {bv.size})")
-    if orientation is Orientation.MAXIMIZE:
-        av, bv = -av, -bv
-    return bool(np.all(av <= bv) and np.any(av < bv))
-
-
 def _pareto_mask(arr: np.ndarray) -> np.ndarray:
     """Boolean mask of nondominated rows of a minimize-oriented (k,n) array."""
     k = arr.shape[0]
@@ -140,7 +119,11 @@ def pareto_filter(s: PointSet) -> PointSet:
 
 def _to_min_arrays(s: PointSet, r) -> tuple[np.ndarray, np.ndarray]:
     """Validate shapes and return minimize-oriented (pts, ref)."""
-    given = _check_finite_values(r, "reference point")
+    given = tuple(float(v) for v in r)
+    if len(given) == 0:
+        raise ValueError("reference point: need at least one component")
+    if not all(map(math.isfinite, given)):
+        raise ValueError(f"reference point: components must be finite, got {given}")
     ref = np.array(given, dtype=np.float64)
     if len(s) == 0:
         return np.zeros((0, ref.size)), ref

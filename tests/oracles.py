@@ -70,6 +70,11 @@ def pareto_brute(rows: list) -> list:
     return keep
 
 
+def nearest_upscale_reference(x: np.ndarray, factor: int) -> np.ndarray:
+    """Pixel replication of a (C,H,W) array by ``factor`` on both sides."""
+    return np.repeat(np.repeat(x, factor, axis=1), factor, axis=2)
+
+
 def conv2d_naive(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Quadruple-loop stride-1 same-zero-padding correlation."""
     n, c, h, wd = x.shape

@@ -248,6 +248,20 @@ class TestPareto:
         assert proc.returncode == 1
         assert "line 2" in proc.stderr
 
+    @pytest.mark.parametrize("command, args", [
+        ("pareto", []),
+        ("hv", ["--ref", "3,3,3", "--mc", "2000", "--seed", "5"]),
+    ], ids=["pareto", "hv_mc"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, command, args):
+        # spreadsheet "CSV UTF-8" exports start with one
+        text = b"1,2,0.5\n2,1,0.25\n2,2,2\n"
+        outs = []
+        for name, prefix in (("plain.csv", b""), ("bom.csv", b"\xef\xbb\xbf")):
+            (tmp_path / name).write_bytes(prefix + text)
+            assert cli.main([command, str(tmp_path / name), *args]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] and outs[1] == outs[0]
+
 
 class TestEval:
     def test_identical_images(self, tmp_path):
@@ -351,6 +365,14 @@ class TestTrain:
         assert manifest["seed"] == 0
         outs = [p.split("/")[-1] for p in manifest["outputs"]]
         assert outs == ["pretrain.csv", "history.csv", "checkpoint.hvgn"]
+
+    def test_config_with_byte_order_mark_trains(self, tmp_path):
+        cfg_path, _ = _train_config(tmp_path, "bom")
+        text = cfg_path.read_text()
+        cfg_path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        manifest = json.loads((tmp_path / "bom" / "manifest.json").read_text())
+        assert manifest["config"] == text
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         p1, _ = _train_config(tmp_path, "r1")

@@ -9,7 +9,6 @@ from hvgan.moo import (
     MC_BLOCK_VALUES,
     Orientation,
     PointSet,
-    dominates,
     hypervolume_exact,
     hypervolume_mc,
     pareto_filter,
@@ -25,53 +24,70 @@ def pset(rows, orientation=MIN):
     return PointSet.from_rows(rows, orientation)
 
 
+def survivors(rows, orientation=MIN):
+    """The rows ``pareto_filter`` keeps, as lists of floats."""
+    return pareto_filter(pset(rows, orientation)).values.tolist()
+
+
 class TestDominates:
+    """Dominance between two points as ``pareto_filter`` applies it: a pair
+    keeps only its dominating point, and both points when neither dominates."""
+
     def test_irreflexive_on_equal_points(self):
-        assert dominates((1, 1), (1, 1), MIN) is False
+        assert survivors([(1, 1), (1, 1)]) == [[1, 1], [1, 1]]
 
     def test_strict_improvement_everywhere(self):
-        assert dominates((1, 2), (2, 3), MIN) is True
+        assert survivors([(2, 3), (1, 2)]) == [[1, 2]]
 
     def test_incomparable_pair(self):
-        assert dominates((1, 3), (3, 1), MIN) is False
+        assert survivors([(1, 3), (3, 1)]) == [[1, 3], [3, 1]]
 
     def test_weak_improvement_with_one_strict(self):
-        assert dominates((1, 2), (1, 3), MIN) is True
+        assert survivors([(1, 3), (1, 2)]) == [[1, 2]]
 
     def test_maximize_flips_the_sense(self):
-        assert dominates((2, 3), (1, 2), MAX) is True
-        assert dominates((1, 2), (2, 3), MAX) is False
+        assert survivors([(1, 2), (2, 3)], MAX) == [[2, 3]]
+        assert survivors([(1, 2), (2, 3)], MIN) == [[1, 2]]
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="lengths differ"):
-            dominates((1, 2), (1, 2, 3), MIN)
+        with pytest.raises(ValueError, match="point 1 has length 3, expected 2"):
+            pset([(1, 2), (1, 2, 3)])
+        with pytest.raises(
+            ValueError, match="reference point has length 3, point set has dimension 2"
+        ):
+            hypervolume_exact(pset([(1, 2)]), (3, 3, 3))
 
     def test_non_finite_component_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="finite"):
-            dominates((1.0, np.nan), (1.0, 2.0), MIN)
-        with pytest.raises(ValueError, match="finite"):
-            dominates((1.0, 2.0), (np.inf, 0.0), MAX)
         with pytest.raises(ValueError, match="point 1 must be finite"):
             pset([(1.0, 2.0), (1.0, np.nan)])
         with pytest.raises(ValueError, match="point 0 must be finite"):
             pset([(-np.inf, 0.0)], MAX)
+        with pytest.raises(
+            ValueError,
+            match=r"^reference point: components must be finite, got \(3\.0, inf\)$",
+        ):
+            hypervolume_mc(pset([(1.0, 2.0)]), (3, np.inf), 10, seed=0)
 
     def test_strict_partial_order_on_random_triples(self):
+        def dominates(a, b):
+            return survivors([a, b]) == [a.astype(float).tolist()]
+
         rng = np.random.default_rng(7)
         for _ in range(200):
             a, b, c = (rng.integers(0, 4, size=3) for _ in range(3))
-            assert not dominates(a, a, MIN)
-            if dominates(a, b, MIN):
-                assert not dominates(b, a, MIN)
-            if dominates(a, b, MIN) and dominates(b, c, MIN):
-                assert dominates(a, c, MIN)
+            assert not dominates(a, a)
+            if dominates(a, b):
+                assert not dominates(b, a)
+            if dominates(a, b) and dominates(b, c):
+                assert dominates(a, c)
 
     def test_orientation_duality_on_random_pairs(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             a = rng.standard_normal(3)
             b = rng.standard_normal(3)
-            assert dominates(a, b, MAX) == dominates(-a, -b, MIN)
+            negated = [[-v for v in row] for row in survivors([-a, -b], MIN)]
+            assert survivors([a, b], MAX) == negated
 
 
 class TestPointSet:
@@ -97,8 +113,9 @@ class TestPointSet:
          r"PointSet: need a \(k, n\) array, got shape \(1, 2, 3\)"),
         (lambda: PointSet(np.zeros((2, 0)), MIN),
          "PointSet: points need at least one component"),
-        (lambda: dominates((), (), MIN), "dominates: need at least one component"),
-    ], ids=["three_d", "no_components", "dominates_empty"])
+        (lambda: hypervolume_exact(pset([(1, 2)]), ()),
+         "reference point: need at least one component"),
+    ], ids=["three_d", "no_components", "empty_reference"])
     def test_shapeless_points_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()

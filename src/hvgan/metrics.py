@@ -36,17 +36,25 @@ def _paired(a, b, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def psnr(a, b, peak: float = 1.0) -> float:
-    """10*log10(peak^2 / MSE) per channel, averaged; +inf when MSE is zero."""
+    """10*log10(peak^2 / MSE) per channel, averaged; +inf when MSE is zero.
+    A peak that is not finite and > 0, or for which peak^2 / MSE is not a
+    finite positive number, is rejected, so no other infinity is returned."""
     av, bv = _paired(a, b, "psnr")
-    if not peak > 0:
-        raise ValueError(f"psnr: peak must be > 0, got {peak}")
+    if not 0.0 < peak < np.inf:
+        raise ValueError(f"psnr: peak must be finite and > 0, got {peak}")
     vals = []
     for c in range(av.shape[0]):
         mse = float(np.mean((av[c] - bv[c]) ** 2))
         if mse == 0.0:
             vals.append(np.inf)
-        else:
-            vals.append(10.0 * np.log10(peak * peak / mse))
+            continue
+        ratio = peak * peak / mse
+        if not 0.0 < ratio < np.inf:
+            raise ValueError(
+                f"psnr: peak {peak} gives peak^2/MSE = {ratio} against MSE {mse}, "
+                f"not a finite positive number"
+            )
+        vals.append(10.0 * np.log10(ratio))
     return float(np.mean(vals))
 
 

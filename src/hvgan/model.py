@@ -104,6 +104,11 @@ ADVERSARIAL_KINDS = ("standard", "relativistic")
 # default per-loss upper bounds (gan, pix, fea) by adversarial variant
 _DEFAULT_MU = {"relativistic": (20.0, 0.1, 10.0), "standard": (200.0, 0.1, 10.0)}
 
+# The training phases run with numpy's floating-point warnings off: the tape
+# checks every op result and raises a FloatingPointError naming the op, so a
+# diverging run ends with that one error and no warning lines before it.
+_FP_WARNINGS_OFF = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
 
 # ---------------------------------------------------------------------------
 # networks
@@ -121,8 +126,6 @@ class GeneratorNet:
     def __init__(self, channels: int, width: int, rng: np.random.Generator):
         if width < 1:
             raise ValueError(f"generator width must be >= 1, got {width}")
-        self.channels = int(channels)
-        self.width = int(width)
         shapes = [
             (width, channels),
             (width, width),
@@ -155,8 +158,6 @@ class DiscriminatorNet:
     def __init__(self, channels: int, width: int, rng: np.random.Generator):
         if width < 1:
             raise ValueError(f"discriminator width must be >= 1, got {width}")
-        self.channels = int(channels)
-        self.width = int(width)
         self.w1 = ad.Parameter(_conv_init(rng, width, channels), name="d.conv1.w")
         self.b1 = ad.Parameter(np.zeros(width), name="d.conv1.b")
         self.w2 = ad.Parameter(_conv_init(rng, 2 * width, width), name="d.conv2.w")
@@ -389,6 +390,8 @@ class TrainConfig:
             v = getattr(self, key)
             if not (_is_real(v) and v > 0):
                 raise ValueError(f"{key} must be finite and > 0, got {v!r}")
+        if not math.isfinite(1.0 / float(self.eps)):
+            raise ValueError(f"eps must have a finite 1/eps, got {self.eps!r}")
         ms = self.lr_milestones
         if (
             not isinstance(ms, (list, tuple))
@@ -480,6 +483,7 @@ def _draw_batch(
     return np.stack(lrs), np.stack(hrs)
 
 
+@_FP_WARNINGS_OFF
 def pretrain_generator(
     g: GeneratorNet, images: Sequence[ImageBuffer], config: TrainConfig
 ) -> list[tuple[int, float]]:
@@ -580,6 +584,7 @@ def train_step_generator(
     return losses, scalar, weights, clamped
 
 
+@_FP_WARNINGS_OFF
 def adversarial_phase(
     g: GeneratorNet,
     d: DiscriminatorNet,

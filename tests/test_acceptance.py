@@ -25,11 +25,7 @@ from hvgan.losses import (
 )
 from hvgan.metrics import gmsd, psnr, ssim
 from hvgan.moo import Orientation, PointSet, hypervolume_exact, hypervolume_mc
-from hvgan.scalarize import (
-    gradient_weights,
-    hv_log_loss,
-    hv_log_loss_normalized,
-)
+from hvgan.scalarize import gradient_weights, scalarize
 from hvgan.synth import make_corpus, write_corpus
 
 from oracles import conv2d_naive, nearest_upscale_reference
@@ -82,7 +78,7 @@ def test_scalarization_volume_identity(capsys):
         n = int(rng.integers(1, 5))
         l, mu = _random_unclamped(rng, n)
         hv = hypervolume_exact(PointSet.from_rows([l], Orientation.MINIMIZE), mu)
-        worst = max(worst, abs(math.exp(-hv_log_loss(l, mu)) - hv) / hv)
+        worst = max(worst, abs(math.exp(-scalarize(l, "hv_log", mu)) - hv) / hv)
     _report(
         capsys,
         "log-loss / hypervolume identity",
@@ -113,7 +109,7 @@ def test_gradient_weight_law(capsys):
                 tape.backward(loss)
             worst_grad = max(worst_grad, float(np.max(np.abs(lp.grad - w))))
 
-        offset = hv_log_loss_normalized(l, mu) - hv_log_loss(l, mu)
+        offset = scalarize(l, "hv_log_norm", mu) - scalarize(l, "hv_log", mu)
         want = float(np.sum(np.log(mu)))
         worst_offset = max(worst_offset, abs(offset - want) / abs(want))
     _report(

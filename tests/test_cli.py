@@ -14,7 +14,7 @@ import hvgan
 from hvgan import cli, data_io, model
 from hvgan.data_io import ImageBuffer, save_image
 from hvgan.model import init_networks, load_checkpoint
-from hvgan.scalarize import hv_log_loss_normalized
+from hvgan.scalarize import scalarize
 from hvgan.synth import write_corpus
 
 
@@ -310,6 +310,17 @@ class TestEval:
                        "--test", str(tmp_path / "nope.pgm"))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("peak", ["inf", "1e200", "1e-200"])
+    def test_peak_without_a_finite_psnr_is_an_error(self, tmp_path, peak):
+        _write_pgm(tmp_path / "a.pgm", np.full((16, 16), 128, dtype=np.uint8))
+        _write_pgm(tmp_path / "b.pgm", np.zeros((16, 16), dtype=np.uint8))
+        proc = run_cli("eval", "--ref", str(tmp_path / "a.pgm"),
+                       "--test", str(tmp_path / "b.pgm"), "--peak", peak)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()  # no numpy RuntimeWarning either
+        assert len(lines) == 1 and lines[0].startswith("error: psnr: peak")
+
 
 def _train_config(tmp_path, sub="run", **over):
     corpus = tmp_path / "corpus"
@@ -392,6 +403,16 @@ class TestTrain:
         out = tmp_path / "rows"
         assert len((out / "pretrain.csv").read_text().splitlines()) == 1 + 3
         assert len((out / "history.csv").read_text().splitlines()) == 1 + 4
+
+    def test_diverging_run_prints_one_error_line(self, tmp_path, capsys):
+        cfg_path, _ = _train_config(
+            tmp_path, "diverge", lr=1e308, batch_size=1,
+            pretrain_iters=1, adversarial_iters=2,
+        )
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()  # no numpy RuntimeWarning
+        assert len(lines) == 1
+        assert lines[0].startswith("error: non-finite values produced by op")
 
     def test_adversarial_failure_keeps_the_pretraining_rows(
         self, tmp_path, monkeypatch, capsys
@@ -792,7 +813,9 @@ class TestHypervolumeModesShareOneTrajectory:
         scalar = HISTORY_COLUMNS.index("scalar")
         losses = slice(HISTORY_COLUMNS.index("l_gan"), HISTORY_COLUMNS.index("l_fea") + 1)
         for row in _history(clamping_runs["hv_log_norm"] / "history.csv"):
-            want = hv_log_loss_normalized([float(v) for v in row[losses]], CLAMPING["mu"])
+            want = scalarize(
+                [float(v) for v in row[losses]], "hv_log_norm", CLAMPING["mu"]
+            )
             assert float(row[scalar]) == want
 
     @pytest.mark.parametrize("mode", ["hv_log", "hv_log_norm"])

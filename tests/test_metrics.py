@@ -54,9 +54,12 @@ class TestPsnr:
         with pytest.raises(ValueError, match="shapes differ"):
             psnr(np.zeros((4, 4)), np.zeros((5, 5)))
 
-    def test_bad_peak_rejected(self):
+    # 1e200 and 1e-200 are finite, but peak^2/MSE overflows to inf or
+    # underflows to 0 at MSE 1
+    @pytest.mark.parametrize("peak", [0.0, math.inf, 1e200, 1e-200])
+    def test_bad_peak_rejected(self, peak):
         with pytest.raises(ValueError, match="peak"):
-            psnr(np.zeros((4, 4)), np.ones((4, 4)), peak=0.0)
+            psnr(np.zeros((4, 4)), np.ones((4, 4)), peak=peak)
 
 
 class TestSsim:

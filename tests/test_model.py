@@ -364,6 +364,8 @@ class TestTrainConfig:
         {"lr": 10**400},
         {"mu": (10**400, 1.0, 1.0)},
         {"baseline_weights": (10**400, 0, 0)},
+        # finite, but the clamp weight 1/eps overflows
+        {"eps": 1e-320},
     ])
     def test_invalid_fields_rejected(self, bad):
         (key,) = bad

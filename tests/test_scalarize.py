@@ -10,9 +10,6 @@ from hvgan.scalarize import (
     MODE_KINDS,
     clamp_flags,
     gradient_weights,
-    hv_log_loss,
-    hv_log_loss_normalized,
-    linear_fixed,
     scalarize,
 )
 
@@ -26,47 +23,50 @@ def _random_unclamped(rng, n):
 
 class TestHvLogLoss:
     def test_zero_losses_unit_bounds(self):
-        assert hv_log_loss([0.0, 0.0], [1.0, 1.0]) == 0.0
+        assert scalarize([0.0, 0.0], "hv_log", [1.0, 1.0]) == 0.0
 
     def test_each_term_at_gap_e(self):
         e = math.e
-        assert hv_log_loss([1.0, 1.0], [1.0 + e, 1.0 + e]) == pytest.approx(
+        assert scalarize([1.0, 1.0], "hv_log", [1.0 + e, 1.0 + e]) == pytest.approx(
             -2.0, rel=1e-12
         )
 
     def test_half_gap(self):
-        assert hv_log_loss([0.5], [1.0]) == pytest.approx(-math.log(0.5), rel=1e-12)
+        assert scalarize([0.5], "hv_log", [1.0]) == pytest.approx(-math.log(0.5), rel=1e-12)
 
     def test_clamp_keeps_value_finite_past_the_bound(self):
-        v = hv_log_loss([2.0], [1.0], eps=1e-6)
+        v = scalarize([2.0], "hv_log", [1.0], eps=1e-6)
         assert v == pytest.approx(-math.log(1e-6), rel=1e-12)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
-            hv_log_loss([1.0], [1.0, 2.0])
+            scalarize([1.0], "hv_log", [1.0, 2.0])
 
     def test_non_finite_loss_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            hv_log_loss([np.nan], [1.0])
+            scalarize([np.nan], "hv_log", [1.0])
 
     def test_nonpositive_mu_rejected(self):
         with pytest.raises(ValueError, match="bounds"):
-            hv_log_loss([0.0], [0.0])
+            scalarize([0.0], "hv_log", [0.0])
 
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError, match="eps"):
-            hv_log_loss([0.0], [1.0], eps=0.0)
+            scalarize([0.0], "hv_log", [1.0], eps=0.0)
+        # 1/eps, the clamp weight, overflows to inf
+        with pytest.raises(ValueError, match="eps"):
+            gradient_weights([0.0], [1.0], eps=1e-320)
 
     def test_strictly_increasing_in_each_component(self):
         rng = np.random.default_rng(41)
         h = 1e-6
         for _ in range(100):
             l, mu = _random_unclamped(rng, 3)
-            base = hv_log_loss(l, mu)
+            base = scalarize(l, "hv_log", mu)
             for k in range(3):
                 bumped = l.copy()
                 bumped[k] += h
-                assert hv_log_loss(bumped, mu) > base
+                assert scalarize(bumped, "hv_log", mu) > base
 
     def test_negative_log_of_single_point_hypervolume(self):
         rng = np.random.default_rng(42)
@@ -76,21 +76,21 @@ class TestHvLogLoss:
             hv = hypervolume_exact(
                 PointSet.from_rows([l], Orientation.MINIMIZE), mu
             )
-            assert math.exp(-hv_log_loss(l, mu)) == pytest.approx(hv, rel=1e-12)
+            assert math.exp(-scalarize(l, "hv_log", mu)) == pytest.approx(hv, rel=1e-12)
 
 
 class TestHvLogLossNormalized:
     def test_zero_losses(self):
-        assert hv_log_loss_normalized([0.0, 0.0], [7.0, 13.0]) == 0.0
+        assert scalarize([0.0, 0.0], "hv_log_norm", [7.0, 13.0]) == 0.0
 
     def test_coincides_with_unnormalized_at_unit_bound(self):
-        assert hv_log_loss_normalized([0.5], [1.0]) == pytest.approx(
+        assert scalarize([0.5], "hv_log_norm", [1.0]) == pytest.approx(
             -math.log(0.5), rel=1e-12
         )
 
     def test_direct_two_term_value(self):
         want = -(math.log(0.5) + math.log(0.75))
-        assert hv_log_loss_normalized([1.0, 1.0], [2.0, 4.0]) == pytest.approx(
+        assert scalarize([1.0, 1.0], "hv_log_norm", [2.0, 4.0]) == pytest.approx(
             want, rel=1e-12
         )
 
@@ -99,7 +99,7 @@ class TestHvLogLossNormalized:
         for _ in range(200):
             n = int(rng.integers(1, 5))
             l, mu = _random_unclamped(rng, n)
-            gap = hv_log_loss_normalized(l, mu) - hv_log_loss(l, mu)
+            gap = scalarize(l, "hv_log_norm", mu) - scalarize(l, "hv_log", mu)
             assert gap == pytest.approx(float(np.sum(np.log(mu))), rel=1e-12)
 
 
@@ -123,9 +123,11 @@ class TestGradientWeights:
                 up, dn = l.copy(), l.copy()
                 up[k] += h
                 dn[k] -= h
-                fd_plain = (hv_log_loss(up, mu) - hv_log_loss(dn, mu)) / (2 * h)
+                fd_plain = (
+                    scalarize(up, "hv_log", mu) - scalarize(dn, "hv_log", mu)
+                ) / (2 * h)
                 fd_norm = (
-                    hv_log_loss_normalized(up, mu) - hv_log_loss_normalized(dn, mu)
+                    scalarize(up, "hv_log_norm", mu) - scalarize(dn, "hv_log_norm", mu)
                 ) / (2 * h)
                 assert fd_plain == pytest.approx(w[k], rel=1e-6)
                 assert fd_norm == pytest.approx(w[k], rel=1e-6)
@@ -145,25 +147,25 @@ class TestGradientWeights:
 
 class TestLinearFixed:
     def test_zero_weights(self):
-        assert linear_fixed([1.0, 2.0], [0.0, 0.0]) == 0.0
+        assert scalarize([1.0, 2.0], "linear", weights=[0.0, 0.0]) == 0.0
 
     def test_unit_weights(self):
-        assert linear_fixed([1.0, 2.0], [1.0, 1.0]) == 3.0
+        assert scalarize([1.0, 2.0], "linear", weights=[1.0, 1.0]) == 3.0
 
     def test_single_term(self):
-        assert linear_fixed([3.0], [0.5]) == 1.5
+        assert scalarize([3.0], "linear", weights=[0.5]) == 1.5
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
-            linear_fixed([1.0, 2.0], [1.0])
+            scalarize([1.0, 2.0], "linear", weights=[1.0])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="weights"):
-            linear_fixed([1.0], [-0.5])
+            scalarize([1.0], "linear", weights=[-0.5])
 
     def test_non_finite_loss_rejected(self):
         with pytest.raises(ValueError, match=r"loss vector has non-finite components: \[nan\]"):
-            linear_fixed([np.nan], [1.0])
+            scalarize([np.nan], "linear", weights=[1.0])
 
 
 class TestScalarizeDispatch:

@@ -61,6 +61,15 @@ import numpy as np
 
 from . import kernels
 
+_LEAKY_SLOPE = 0.2
+# leaky_relu's slope of each element, indexed by its mask (1 where x > 0)
+_SLOPES = np.array([_LEAKY_SLOPE, 1.0])
+_SLOPES.setflags(write=False)
+
+# finite_diff_check's central-difference step; gradcheck_suite's draws
+_FD_STEP = 1e-6
+_GRADCHECK_TRIALS = 10
+
 __all__ = [
     "Tensor",
     "Parameter",
@@ -393,24 +402,20 @@ def bias_add(x, b) -> Tensor:
 # nonlinearities and pointwise functions
 # ---------------------------------------------------------------------------
 
-def leaky_relu(x, alpha: float = 0.2) -> Tensor:
-    """x where x > 0, else alpha * x, for a slope 0 <= alpha <= 1."""
+def leaky_relu(x) -> Tensor:
+    """x where x > 0, else 0.2 * x."""
     x = _as_tensor(x)
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"leaky_relu: alpha must lie in [0, 1], got {alpha}")
     xn = _grad_node(x)
-    # slopes.take(pos) is each element's slope, gathered only when needed, so
+    # _SLOPES.take(pos) is each element's slope, gathered only when needed, so
     # the VJP keeps one byte per element
     pos = (x.data > 0.0).view(np.uint8) if xn is not None else None
 
     def vjp(g):
-        slopes = np.array([alpha, 1.0])
-        _accumulate(xn, g * slopes.take(pos))
+        _accumulate(xn, g * _SLOPES.take(pos))
 
-    # for alpha <= 1 the larger of x and alpha * x is x * slopes.take(pos), bit
-    # for bit (zeros keep their sign), without a data-dependent branch
-    return _record("leaky_relu", np.maximum(x.data, x.data * alpha), (xn,), vjp)
+    # the larger of x and 0.2 * x is x * _SLOPES.take(pos), bit for bit
+    # (zeros keep their sign), without a data-dependent branch
+    return _record("leaky_relu", np.maximum(x.data, x.data * _LEAKY_SLOPE), (xn,), vjp)
 
 
 def sigmoid(x) -> Tensor:
@@ -514,37 +519,29 @@ def mean_spatial(x) -> Tensor:
     return _record("mean_spatial", x.data.mean(axis=(2, 3)), (xn,), vjp)
 
 
-def upsample_nearest(x, factor: int) -> Tensor:
-    """(N,C,H,W) -> (N,C,fH,fW) by pixel replication."""
+def upsample_nearest(x) -> Tensor:
+    """(N,C,H,W) -> (N,C,2H,2W) by pixel replication."""
     x = _as_tensor(x)
-    f = int(factor)
-    if x.data.ndim != 4 or f < 1:
-        raise ValueError(
-            f"upsample_nearest: need (N,C,H,W) and factor >= 1, got "
-            f"{x.data.shape} and {factor}"
-        )
+    if x.data.ndim != 4:
+        raise ValueError(f"upsample_nearest: need (N,C,H,W), got {x.data.shape}")
     n, c, h, w = x.data.shape
-    y = np.empty((n, c, f * h, f * w))
-    for i in range(f):
-        for j in range(f):
-            y[:, :, i::f, j::f] = x.data
+    y = np.empty((n, c, 2 * h, 2 * w))
+    for i in (0, 1):
+        for j in (0, 1):
+            y[:, :, i::2, j::2] = x.data
     xn = _grad_node(x)
 
     def vjp(g):
-        # Each input pixel gets the sum of its f*f output taps, in the order
-        # of numpy's g.reshape(n, c, h, f, w, f).sum(axis=(3, 5)): from +0.0,
-        # add the taps of each tap row in order, then the rows in order. At
-        # w == 1 numpy runs all f*f taps of a pixel as one sum, so that case
-        # keeps the reduction (on an array with one input column).
+        # Each input pixel gets the sum of its 2x2 output taps, in the order
+        # of numpy's g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)): from +0.0,
+        # add each tap row's pair, then the rows in order. At w == 1 numpy
+        # runs all four taps of a pixel as one sum, so that case keeps the
+        # reduction (on an array with one input column).
         if w == 1:
-            gx = g.reshape(n, c, h, f, w, f).sum(axis=(3, 5))
+            gx = g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
         else:
-            gx = 0.0
-            for i in range(f):
-                row = g[:, :, i::f, 0::f]
-                for j in range(1, f):
-                    row = row + g[:, :, i::f, j::f]
-                gx = gx + row
+            gx = ((0.0 + (g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2]))
+                  + (g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]))
         _accumulate(xn, gx)
 
     return _record("upsample_nearest", y, (xn,), vjp)
@@ -555,11 +552,10 @@ def upsample_nearest(x, factor: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def finite_diff_check(
-    fn: Callable[[Sequence[Parameter]], Tensor],
-    arrays: Sequence[np.ndarray],
-    step: float = 1e-6,
+    fn: Callable[[Sequence[Parameter]], Tensor], arrays: Sequence[np.ndarray]
 ) -> float:
-    """Max over coordinates of |g_ad - g_fd| / max(1, |g_fd|).
+    """Max over coordinates of |g_ad - g_fd| / max(1, |g_fd|), by central
+    differences of step 1e-6.
 
     ``fn`` maps a list of tensors to a scalar and is re-run from scratch for
     every central-difference probe, so it must be deterministic.
@@ -583,12 +579,12 @@ def finite_diff_check(
         flat = a.reshape(-1)  # a view: a fresh copy is C-contiguous
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + step
+            flat[j] = orig + _FD_STEP
             hi = value()
-            flat[j] = orig - step
+            flat[j] = orig - _FD_STEP
             lo = value()
             flat[j] = orig
-            numeric = (hi - lo) / (2.0 * step)
+            numeric = (hi - lo) / (2.0 * _FD_STEP)
             err = abs(numeric - analytic[i].ravel()[j]) / max(1.0, abs(numeric))
             worst = max(worst, err)
     return worst
@@ -623,7 +619,7 @@ PRIMITIVES: dict[str, Callable[[int], tuple]] = {
                          _rng_arrays([8, s], (2, 3, 5, 6), (4, 3, 3, 3))),
     "bias_add": lambda s: (lambda p: reduce_sum(square(bias_add(p[0], p[1]))),
                            _rng_arrays([9, s], (2, 3, 4, 4), (3,))),
-    "leaky_relu": lambda s: (lambda p: reduce_sum(square(leaky_relu(p[0], 0.2))),
+    "leaky_relu": lambda s: (lambda p: reduce_sum(square(leaky_relu(p[0]))),
                              [_away_from(_rng_arrays([10, s], (4, 5))[0])]),
     "sigmoid": lambda s: (lambda p: reduce_sum(square(sigmoid(p[0]))),
                           _rng_arrays([11, s], (4, 5))),
@@ -642,21 +638,21 @@ PRIMITIVES: dict[str, Callable[[int], tuple]] = {
     "mean_spatial": lambda s: (lambda p: reduce_sum(square(mean_spatial(p[0]))),
                                _rng_arrays([19, s], (2, 3, 4, 4))),
     "upsample_nearest": lambda s: (
-        lambda p: reduce_sum(square(upsample_nearest(p[0], 2))),
+        lambda p: reduce_sum(square(upsample_nearest(p[0]))),
         _rng_arrays([20, s], (2, 2, 3, 3))),
 }
 
 
-def gradcheck_suite(trials: int = 10, step: float = 1e-6) -> list[tuple[str, float]]:
-    """Check every registered primitive at ``trials`` random inputs.
+def gradcheck_suite() -> list[tuple[str, float]]:
+    """Check every registered primitive at ten random inputs.
 
     Returns (name, worst relative error) pairs sorted by primitive name.
     """
     results = []
     for name in sorted(PRIMITIVES):
         worst = 0.0
-        for trial in range(trials):
+        for trial in range(_GRADCHECK_TRIALS):
             fn, arrays = PRIMITIVES[name](trial)
-            worst = max(worst, finite_diff_check(fn, arrays, step=step))
+            worst = max(worst, finite_diff_check(fn, arrays))
         results.append((name, worst))
     return results

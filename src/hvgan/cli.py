@@ -27,9 +27,11 @@ import numpy as np
 from . import __version__, model
 from .autodiff import gradcheck_suite
 from .data_io import (
+    SCALE,
     ImageBuffer,
     bicubic_downscale,
     load_image,
+    parse_number,
     read_points_csv,
     write_atomic,
 )
@@ -119,7 +121,7 @@ def _parse_ref(text: str) -> list[float]:
     ref = []
     for pos, tok in enumerate(text.split(","), start=1):
         try:
-            ref.append(float(tok))
+            ref.append(parse_number(tok))
         except ValueError:
             raise ValueError(
                 f"--ref: field {pos}: non-numeric value {tok.strip()!r}"
@@ -178,8 +180,8 @@ def _load_corpus(config: model.TrainConfig) -> list[ImageBuffer]:
     written."""
     images = model.load_corpus(config.dataset)
     ps = config.patch_size
-    if ps % 4:
-        raise ValueError(f"patch size must be divisible by 4, got {ps}")
+    if ps % SCALE:
+        raise ValueError(f"patch size must be divisible by {SCALE}, got {ps}")
     for img in images:
         if ps > img.height or ps > img.width:
             raise ValueError(
@@ -244,12 +246,12 @@ def _load_eval_pairs(paths, channels: int) -> list[tuple[ImageBuffer, ImageBuffe
                 f"eval image {path} is {img.height}x{img.width}, smaller than "
                 f"the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
             )
-        if img.height % 4 or img.width % 4:
+        if img.height % SCALE or img.width % SCALE:
             raise ValueError(
                 f"eval image {path} is {img.height}x{img.width}, not divisible "
-                f"by 4 for the x4 downscale"
+                f"by {SCALE} for the x{SCALE} downscale"
             )
-        pairs.append((img, bicubic_downscale(img, 4)))
+        pairs.append((img, bicubic_downscale(img)))
     return pairs
 
 
@@ -329,7 +331,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradcheck_suite(trials=10)
+    results = gradcheck_suite()
     failures = []
     for name, err in results:
         print(f"{name} {err:.3g}")

@@ -11,8 +11,8 @@ and keeps a read-only copy of its pixels; ``load_image``,
 ``bicubic_downscale``, ``model.apply_generator`` and ``synth`` all build
 one. Training patches are plain (C,H,W) arrays:
 ``random_patch_pair`` crops a view of an image's read-only pixels and
-downscales it, and ``augment_with_rng`` flips and turns both as views. The
-bicubic weight matrix of each ``(n_in, factor)`` is built once and cached.
+downscales it by ``SCALE``, and ``augment_with_rng`` flips and turns both as
+views. The bicubic weight matrix of each input extent is built once and cached.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 from .moo import Orientation, PointSet
 
 __all__ = [
+    "SCALE",
     "ImageBuffer",
     "load_image",
     "save_image",
@@ -35,9 +36,11 @@ __all__ = [
     "bicubic_downscale",
     "random_patch_pair",
     "augment_with_rng",
+    "parse_number",
     "read_points_csv",
 ]
 
+SCALE = 4
 _BICUBIC_A = -0.5
 
 
@@ -142,7 +145,7 @@ def load_image(path) -> ImageBuffer:
 
 
 def save_image(img: ImageBuffer, path) -> None:
-    """Write P5/P6 with round-half-up 8-bit quantization."""
+    """Atomically write P5/P6 with round-half-up 8-bit quantization."""
     q = np.floor(img.data * 255.0 + 0.5)
     q = np.clip(q, 0, 255).astype(np.uint8)
     if img.channels == 1:
@@ -150,7 +153,7 @@ def save_image(img: ImageBuffer, path) -> None:
     else:
         magic, payload = b"P6", q.transpose(1, 2, 0).tobytes()
     header = magic + f"\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + payload)
+    write_atomic(path, header + payload)
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -183,13 +186,13 @@ def _keys(t: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _bicubic_matrix(n_in: int, factor: int) -> np.ndarray:
-    """(n_in/factor, n_in) row-stochastic resampling matrix, edge-clamped;
-    built once per ``(n_in, factor)`` and read-only."""
-    n_out = n_in // factor
+def _bicubic_matrix(n_in: int) -> np.ndarray:
+    """(n_in/SCALE, n_in) row-stochastic resampling matrix, edge-clamped;
+    built once per ``n_in`` and read-only."""
+    n_out = n_in // SCALE
     mat = np.zeros((n_out, n_in))
     for i in range(n_out):
-        center = (i + 0.5) * factor - 0.5
+        center = (i + 0.5) * SCALE - 0.5
         base = int(np.floor(center))
         for tap in range(base - 1, base + 3):
             w = float(_keys(np.asarray(center - tap)))
@@ -198,25 +201,22 @@ def _bicubic_matrix(n_in: int, factor: int) -> np.ndarray:
     return mat
 
 
-def _downscale(data: np.ndarray, factor: int) -> np.ndarray:
-    """``wh @ data @ ww.T`` of (C,H,W) pixels whose H and W ``factor``
+def _downscale(data: np.ndarray) -> np.ndarray:
+    """``wh @ data @ ww.T`` of (C,H,W) pixels whose H and W ``SCALE``
     divides, clipped back into [0,1]."""
-    wh = _bicubic_matrix(data.shape[1], factor)
-    ww = _bicubic_matrix(data.shape[2], factor)
+    wh = _bicubic_matrix(data.shape[1])
+    ww = _bicubic_matrix(data.shape[2])
     return np.clip(wh @ data @ ww.T, 0.0, 1.0)
 
 
-def bicubic_downscale(img: ImageBuffer, factor: int = 4) -> ImageBuffer:
-    """Separable Keys bicubic downscale; output clamped back into [0,1]."""
-    factor = int(factor)
-    if factor < 1:
-        raise ValueError(f"bicubic_downscale: factor must be >= 1, got {factor}")
-    if img.height % factor or img.width % factor:
+def bicubic_downscale(img: ImageBuffer) -> ImageBuffer:
+    """Separable Keys bicubic x4 downscale; output clamped back into [0,1]."""
+    if img.height % SCALE or img.width % SCALE:
         raise ValueError(
             f"bicubic_downscale: dimensions {img.height}x{img.width} not "
-            f"divisible by {factor}"
+            f"divisible by {SCALE}"
         )
-    return ImageBuffer(_downscale(img.data, factor))
+    return ImageBuffer(_downscale(img.data))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +230,8 @@ def random_patch_pair(
     bicubic x4 downscale, as ``(lr, hr)`` (C,H,W) arrays (rng-stream
     driven)."""
     ps = int(patch_size)
-    if ps % 4:
-        raise ValueError(f"patch size must be divisible by 4, got {ps}")
+    if ps % SCALE:
+        raise ValueError(f"patch size must be divisible by {SCALE}, got {ps}")
     if ps > img.height or ps > img.width:
         raise ValueError(
             f"patch {ps}x{ps} larger than image {img.height}x{img.width}"
@@ -239,7 +239,7 @@ def random_patch_pair(
     top = int(rng.integers(0, img.height - ps + 1))
     left = int(rng.integers(0, img.width - ps + 1))
     hr = img.data[:, top : top + ps, left : left + ps]
-    return _downscale(hr, 4), hr
+    return _downscale(hr), hr
 
 
 def augment_with_rng(
@@ -267,6 +267,15 @@ def augment_with_rng(
 # points CSV
 # ---------------------------------------------------------------------------
 
+def parse_number(text: str) -> float:
+    """``float(text)`` of ASCII number text. Text that ``float`` reads but a
+    number column never holds, a ``_`` digit separator or a non-ASCII digit,
+    raises ``ValueError`` as other non-numeric text does."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def read_points_csv(path, orientation: Orientation) -> PointSet:
     """Headerless UTF-8 CSV of finite objective vectors, one per line, with
     or without a byte-order mark; errors name the file, and the line where
@@ -284,7 +293,7 @@ def read_points_csv(path, orientation: Orientation) -> PointSet:
         values = []
         for tok in fields:
             try:
-                values.append(float(tok))
+                values.append(parse_number(tok))
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno}: non-numeric field {tok.strip()!r}"

@@ -71,9 +71,9 @@ class FeatureExtractor:
         for i, w in enumerate(self._weights):
             h = ad.conv2d(h, ad.Tensor(w))
             if i < len(self._weights) - 1:
-                h = ad.leaky_relu(h, 0.2)
+                h = ad.leaky_relu(h)
         if self.tap == "post":
-            h = ad.leaky_relu(h, 0.2)
+            h = ad.leaky_relu(h)
         return h
 
 

@@ -143,11 +143,11 @@ class GeneratorNet:
 
     def forward(self, x: ad.Tensor) -> ad.Tensor:
         (w1, b1), (w2, b2), (w3, b3), (w4, b4) = self._layers
-        h = ad.leaky_relu(ad.bias_add(ad.conv2d(x, w1), b1), 0.2)
-        h = ad.leaky_relu(ad.bias_add(ad.conv2d(h, w2), b2), 0.2)
-        h = ad.upsample_nearest(h, 2)
-        h = ad.leaky_relu(ad.bias_add(ad.conv2d(h, w3), b3), 0.2)
-        h = ad.upsample_nearest(h, 2)
+        h = ad.leaky_relu(ad.bias_add(ad.conv2d(x, w1), b1))
+        h = ad.leaky_relu(ad.bias_add(ad.conv2d(h, w2), b2))
+        h = ad.upsample_nearest(h)
+        h = ad.leaky_relu(ad.bias_add(ad.conv2d(h, w3), b3))
+        h = ad.upsample_nearest(h)
         return ad.sigmoid(ad.bias_add(ad.conv2d(h, w4), b4))
 
 
@@ -171,8 +171,8 @@ class DiscriminatorNet:
         return [self.w1, self.b1, self.w2, self.b2, self.wd, self.bd]
 
     def forward(self, x: ad.Tensor) -> ad.Tensor:
-        h = ad.leaky_relu(ad.bias_add(ad.conv2d(x, self.w1), self.b1), 0.2)
-        h = ad.leaky_relu(ad.bias_add(ad.conv2d(h, self.w2), self.b2), 0.2)
+        h = ad.leaky_relu(ad.bias_add(ad.conv2d(x, self.w1), self.b1))
+        h = ad.leaky_relu(ad.bias_add(ad.conv2d(h, self.w2), self.b2))
         h = ad.mean_spatial(h)
         return ad.add(ad.matmul(h, self.wd), self.bd)
 

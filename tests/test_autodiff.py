@@ -351,7 +351,7 @@ class TestTheTapeKeepsOnlyWhatBackwardReads:
             conv_out = weakref.ref(h.data)
             z = ad.bias_add(h, b)
             bias_out = weakref.ref(z.data)
-            loss = ad.reduce_sum(ad.leaky_relu(z, 0.2))
+            loss = ad.reduce_sum(ad.leaky_relu(z))
             del h, z
             assert conv_out() is None and bias_out() is None
             tape.backward(loss)
@@ -379,9 +379,9 @@ class TestForwardValues:
 
     def test_leaky_relu_values_and_slope(self):
         x = np.array([-2.0, 3.0])
-        out = ad.leaky_relu(Tensor(x), alpha=0.2)
+        out = ad.leaky_relu(Tensor(x))
         assert np.allclose(out.data, [-0.4, 3.0], rtol=1e-15)
-        (g,) = _grad_of(lambda p: ad.reduce_sum(ad.leaky_relu(p[0], 0.2)), [x])
+        (g,) = _grad_of(lambda p: ad.reduce_sum(ad.leaky_relu(p[0])), [x])
         assert np.allclose(g, [0.2, 1.0], rtol=0, atol=1e-15)
 
     def test_clip_passes_gradient_at_the_boundary(self):
@@ -391,19 +391,18 @@ class TestForwardValues:
 
     def test_upsample_nearest_replicates_pixels(self):
         x = np.arange(4.0).reshape(1, 1, 2, 2)
-        out = ad.upsample_nearest(Tensor(x), 2)
+        out = ad.upsample_nearest(Tensor(x))
         want = np.array([[0.0, 0.0, 1.0, 1.0],
                          [0.0, 0.0, 1.0, 1.0],
                          [2.0, 2.0, 3.0, 3.0],
                          [2.0, 2.0, 3.0, 3.0]])
         assert np.array_equal(out.data[0, 0], want)
 
-    # (input shape, factor): f in {1, 2, 3}, batch 1 and 4, non-square, one
+    # (input shape, the oracle's factor): batch 1 and 4, non-square, one
     # input column, and G's two upsample inputs at batch 4, patch 48, width 16
     UPSAMPLE_CASES = [
         ((4, 16, 12, 12), 2), ((4, 16, 24, 24), 2), ((1, 16, 16, 16), 2),
-        ((2, 3, 5, 7), 2), ((2, 3, 5, 7), 3), ((1, 2, 3, 4), 1),
-        ((4, 2, 7, 5), 3), ((4, 3, 6, 1), 2), ((1, 2, 4, 1), 3),
+        ((2, 3, 5, 7), 2), ((4, 3, 6, 1), 2),
     ]
 
     @pytest.mark.parametrize("shape, f", UPSAMPLE_CASES)
@@ -413,10 +412,10 @@ class TestForwardValues:
         n, c, h, w = shape
         g = _signed_zeros(rng, rng.standard_normal((n, c, f * h, f * w)))
         g[:, :, :f, :f] = -0.0  # a whole block of -0.0 sums to +0.0
-        out = ad.upsample_nearest(Tensor(x), f)
+        out = ad.upsample_nearest(Tensor(x))
         assert np.array_equal(_bits(out.data), _bits(upsample_nearest_reference(x, f)))
         (gx,) = _grad_of(
-            lambda p: ad.reduce_sum(ad.mul(ad.upsample_nearest(p[0], f), Tensor(g))), [x]
+            lambda p: ad.reduce_sum(ad.mul(ad.upsample_nearest(p[0]), Tensor(g))), [x]
         )
         assert np.array_equal(_bits(gx), _bits(upsample_nearest_vjp_reference(g, f)))
 
@@ -432,7 +431,7 @@ class TestForwardValues:
         (gd,) = _grad_of(lambda p: ad.reduce_sum(ad.mul(ad.sigmoid(p[0]), Tensor(g))), [d])
         assert np.array_equal(_bits(gd), _bits(sigmoid_vjp_reference(g, y)))
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("alpha", [0.2])
     def test_leaky_relu_matches_reference_bit_for_bit(self, alpha):
         rng = np.random.default_rng(77)
         # signed zeros and subnormals, where alpha * x rounds to zero
@@ -441,9 +440,9 @@ class TestForwardValues:
         g = _signed_zeros(rng, rng.standard_normal(x.shape))
         g[:2] = [-0.0, 1.5]
         want_y, want_g = leaky_relu_reference(x, g, alpha)
-        assert np.array_equal(_bits(ad.leaky_relu(Tensor(x), alpha).data), _bits(want_y))
+        assert np.array_equal(_bits(ad.leaky_relu(Tensor(x)).data), _bits(want_y))
         (gx,) = _grad_of(
-            lambda p: ad.reduce_sum(ad.mul(ad.leaky_relu(p[0], alpha), Tensor(g))), [x]
+            lambda p: ad.reduce_sum(ad.mul(ad.leaky_relu(p[0]), Tensor(g))), [x]
         )
         assert np.array_equal(_bits(gx), _bits(want_g))
 
@@ -519,11 +518,6 @@ class TestShapeAndDomainErrors:
         with pytest.raises(ValueError, match="bias_add"):
             ad.bias_add(Tensor(np.ones((1, 3, 2, 2))), Tensor(np.ones(2)))
 
-    @pytest.mark.parametrize("alpha", [-0.1, 1.5])
-    def test_leaky_relu_rejects_a_slope_outside_0_1(self, alpha):
-        with pytest.raises(ValueError, match="alpha"):
-            ad.leaky_relu(Tensor(np.ones(2)), alpha)
-
     def test_log_raises_on_nonpositive(self):
         with pytest.raises(FloatingPointError, match="positive"):
             ad.log(Tensor(np.array([1.0, 0.0])))
@@ -539,12 +533,9 @@ class TestShapeAndDomainErrors:
          r"clip: need lo < hi, got \(1.0, 1.0\)"),
         (lambda: ad.mean_spatial(Tensor(np.ones((2, 3)))),
          r"mean_spatial: need \(N,C,H,W\), got \(2, 3\)"),
-        (lambda: ad.upsample_nearest(Tensor(np.ones((2, 3))), 2),
-         r"upsample_nearest: need \(N,C,H,W\) and factor >= 1, got \(2, 3\) and 2"),
-        (lambda: ad.upsample_nearest(Tensor(np.ones((1, 1, 2, 2))), 0),
-         r"upsample_nearest: need \(N,C,H,W\) and factor >= 1, got \(1, 1, 2, 2\) and 0"),
-    ], ids=["conv2d_channels", "clip_bounds", "mean_spatial_rank",
-            "upsample_rank", "upsample_factor"])
+        (lambda: ad.upsample_nearest(Tensor(np.ones((2, 3)))),
+         r"upsample_nearest: need \(N,C,H,W\), got \(2, 3\)"),
+    ], ids=["conv2d_channels", "clip_bounds", "mean_spatial_rank", "upsample_rank"])
     def test_bad_operand_is_named(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
@@ -584,15 +575,6 @@ class TestFiniteDiff:
         )
         assert err < 1e-7
 
-    def test_upsample_nearest_gradient_at_factor_3(self):
-        rng = np.random.default_rng(78)
-        weight = rng.standard_normal((2, 2, 9, 12))
-        err = ad.finite_diff_check(
-            lambda p: ad.reduce_sum(ad.mul(ad.upsample_nearest(p[0], 3), Tensor(weight))),
-            [rng.standard_normal((2, 2, 3, 4))],
-        )
-        assert err < 1e-7
-
     def test_every_primitive_is_registered_once(self):
         want = {
             "add", "sub", "mul", "scalar_broadcast",
@@ -603,7 +585,7 @@ class TestFiniteDiff:
         assert set(ad.PRIMITIVES) == want
 
     def test_gradcheck_suite_passes_at_tolerance(self):
-        results = ad.gradcheck_suite(trials=2)
+        results = ad.gradcheck_suite()
         assert [name for name, _ in results] == sorted(ad.PRIMITIVES)
         for name, worst in results:
             assert worst < 1e-5, f"{name}: {worst}"

@@ -161,6 +161,18 @@ class TestHv:
         assert proc.stdout == ""
         assert "--ref: field 2: non-numeric value 'x'" in proc.stderr
 
+    @pytest.mark.parametrize("ref, message", [
+        ("2_0,3", "--ref: field 1: non-numeric value '2_0'"),
+        ("3,\u0663", "--ref: field 2: non-numeric value '\u0663'"),
+    ], ids=["digit_separator", "arabic_indic_three"])
+    def test_reference_text_float_reads_but_a_number_never_holds(self, tmp_path, ref, message):
+        pts = tmp_path / "u.csv"
+        pts.write_text("1,2\n2,1\n")
+        proc = run_cli("hv", str(pts), "--ref", ref)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert message in proc.stderr
+
     def test_mc_adds_estimate_line(self, tmp_path):
         pts = tmp_path / "p.csv"
         pts.write_text("1,2\n2,1\n")

@@ -171,12 +171,9 @@ class TestInputChecks:
          r"h\.pgm: non-numeric header fields \[b'ab', b'2', b'255'\]"),
         (lambda tmp: load_image(_pgm_bytes(tmp, b"P5\n0 2\n255\n")),
          r"h\.pgm: bad dimensions 0x2"),
-        (lambda tmp: bicubic_downscale(ImageBuffer(np.zeros((1, 4, 4))), 0),
-         r"bicubic_downscale: factor must be >= 1, got 0"),
         (lambda tmp: ImageBuffer(np.zeros((1, 0, 4))),
          r"ImageBuffer: empty spatial extent \(1, 0, 4\)"),
-    ], ids=["header_non_numeric", "header_zero_width", "downscale_factor",
-            "empty_extent"])
+    ], ids=["header_non_numeric", "header_zero_width", "empty_extent"])
     def test_bad_input_is_named(self, tmp_path, call, message):
         with pytest.raises(ValueError, match=message):
             call(tmp_path)
@@ -184,13 +181,13 @@ class TestInputChecks:
 
 class TestBicubic:
     def test_rows_sum_to_one(self):
-        for n, f in [(8, 4), (16, 4), (12, 2), (64, 4)]:
-            mat = _bicubic_matrix(n, f)
+        for n in [8, 16, 64]:
+            mat = _bicubic_matrix(n)
             assert np.allclose(mat.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_interior_tap_weights_at_factor_four(self):
         # phase 0.5 of the Keys a=-0.5 kernel: (-1/16, 9/16, 9/16, -1/16)
-        mat = _bicubic_matrix(16, 4)
+        mat = _bicubic_matrix(16)
         row = mat[2]
         nz = np.nonzero(row)[0]
         assert nz.tolist() == [8, 9, 10, 11]
@@ -198,20 +195,20 @@ class TestBicubic:
 
     def test_mutating_returned_weights_leaves_downscale_alone(self):
         img = _random_image(12, h=48, w=48)
-        before = bicubic_downscale(img, 4).data
+        before = bicubic_downscale(img).data
         with pytest.raises(ValueError, match="read-only"):
-            _bicubic_matrix(48, 4)[:] = 0.0
-        assert np.array_equal(bicubic_downscale(img, 4).data, before)
+            _bicubic_matrix(48)[:] = 0.0
+        assert np.array_equal(bicubic_downscale(img).data, before)
 
     def test_constant_image_stays_constant(self):
         img = ImageBuffer(np.full((1, 8, 8), 0.7))
-        out = bicubic_downscale(img, 4)
+        out = bicubic_downscale(img)
         assert out.data.shape == (1, 2, 2)
         assert np.allclose(out.data, 0.7, rtol=0, atol=1e-12)
 
     def test_ramp_stays_linear_in_the_interior(self):
         ramp = np.tile(np.linspace(0.1, 0.9, 16), (16, 1))
-        out = bicubic_downscale(ImageBuffer(ramp), 4).data[0]
+        out = bicubic_downscale(ImageBuffer(ramp)).data[0]
         # away from the clamped edges the sample positions are equispaced,
         # so consecutive output differences match
         diffs = np.diff(out[0])
@@ -219,18 +216,18 @@ class TestBicubic:
 
     def test_commutes_with_horizontal_flip(self):
         img = _random_image(10, c=3, h=16, w=24)
-        a = bicubic_downscale(ImageBuffer(img.data[:, :, ::-1]), 4).data
-        b = bicubic_downscale(img, 4).data[:, :, ::-1]
+        a = bicubic_downscale(ImageBuffer(img.data[:, :, ::-1])).data
+        b = bicubic_downscale(img).data[:, :, ::-1]
         assert np.allclose(a, b, rtol=0, atol=1e-12)
 
     def test_indivisible_dimensions_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
-            bicubic_downscale(ImageBuffer(np.zeros((1, 9, 8))), 4)
+            bicubic_downscale(ImageBuffer(np.zeros((1, 9, 8))))
 
     def test_output_range_is_clamped(self):
         rng = np.random.default_rng(11)
         img = ImageBuffer((rng.uniform(size=(1, 32, 32)) > 0.5).astype(float))
-        out = bicubic_downscale(img, 4)
+        out = bicubic_downscale(img)
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
     def test_nearest_upscale_replicates(self):
@@ -254,7 +251,7 @@ class TestPatches:
 
     def test_lr_is_the_bicubic_downscale_of_hr(self):
         ((lr, hr),) = _patches(_random_image(22, h=24, w=24), 16, 1, seed=2)
-        want = bicubic_downscale(ImageBuffer(hr), 4)
+        want = bicubic_downscale(ImageBuffer(hr))
         assert np.array_equal(lr, want.data)
 
     def test_hr_is_a_read_only_view_of_the_image(self):
@@ -333,13 +330,13 @@ class TestAugment:
         pair = self._pair(32)
         for seed in range(10):
             lr, hr = _augment(*pair, seed)
-            direct = bicubic_downscale(ImageBuffer(hr), 4)
+            direct = bicubic_downscale(ImageBuffer(hr))
             assert np.allclose(lr, direct.data, rtol=0, atol=1e-12)
 
     def test_odd_rotation_of_non_square_rejected(self):
         img = _random_image(33, h=8, w=16)
         hr = img.data[:, :8, :16]
-        lr = bicubic_downscale(ImageBuffer(hr), 4).data
+        lr = bicubic_downscale(ImageBuffer(hr)).data
         with pytest.raises(ValueError, match="square"):
             for seed in range(100):
                 _augment(lr, hr, seed)
@@ -379,6 +376,19 @@ class TestPointsCsv:
         path.write_text("1,2\n1,x\n")
         with pytest.raises(ValueError, match="line 2.*'x'"):
             read_points_csv(path, Orientation.MINIMIZE)
+
+    @pytest.mark.parametrize("tok", ["1_0", "\u0661", " 2_5 "],
+                             ids=["digit_separator", "arabic_indic_one", "padded_separator"])
+    def test_number_text_float_reads_but_a_column_never_holds(self, tmp_path, tok):
+        path = tmp_path / "n.csv"
+        path.write_text(f"1,2\n{tok},1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"line 2: non-numeric field '{tok.strip()}'"):
+            read_points_csv(path, Orientation.MINIMIZE)
+
+    def test_surrounding_spaces_are_accepted(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(" 1 ,\t2\n")
+        assert read_points_csv(path, Orientation.MINIMIZE).values.tolist() == [[1.0, 2.0]]
 
     @pytest.mark.parametrize("tok", ["nan", "inf", "-inf"])
     def test_non_finite_field_names_the_line(self, tmp_path, tok):

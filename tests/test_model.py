@@ -8,7 +8,7 @@ import pytest
 from hvgan import autodiff as ad
 from hvgan import kernels
 from hvgan import model
-from hvgan.data_io import ImageBuffer
+from hvgan.data_io import SCALE, ImageBuffer
 from hvgan.losses import (
     FeatureExtractor,
     adv_loss_relativistic_g,
@@ -82,10 +82,11 @@ class TestNetworks:
             assert np.array_equal(a.data, b.data)
 
     def test_generator_x4_shape_law(self):
+        # the generator's two doubling stages undo data_io's downscale
         g, _ = _tiny_nets()
         for h, w in [(8, 8), (4, 6), (12, 5)]:
             out = g.forward(ad.Tensor(np.random.default_rng(0).uniform(size=(1, 1, h, w))))
-            assert out.data.shape == (1, 1, 4 * h, 4 * w)
+            assert out.data.shape == (1, 1, SCALE * h, SCALE * w)
 
     def test_generator_output_in_unit_interval(self):
         g, _ = _tiny_nets(1)

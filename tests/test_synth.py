@@ -61,3 +61,14 @@ class TestCorpus:
         b = write_corpus(tmp_path / "b", seed=1, count=2, size=16)
         for pa, pb in zip(a, b):
             assert Path(pa).read_bytes() == Path(pb).read_bytes()
+
+    def test_an_interrupted_write_leaves_no_partial_image(self, tmp_path, monkeypatch):
+        def half_then_fail(path, data):
+            with open(path, "wb") as f:
+                f.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_corpus(tmp_path, seed=0, count=2, size=16)
+        assert list(tmp_path.iterdir()) == []

@@ -49,7 +49,7 @@ _ORIENTATIONS = {"min": Orientation.MINIMIZE, "max": Orientation.MAXIMIZE}
 COMPARE_MODES = ("linear", "hv_log", "hv_log_norm")
 
 PRETRAIN_HEADER = "iter,l_pix"
-HISTORY_HEADER = "iter,l_gan,l_pix,l_fea,scalar,w_gan,w_pix,w_fea,clamped,lr"
+HISTORY_HEADER = ",".join(model.HistoryRow._fields)
 RESULTS_HEADER = "mode,psnr,ssim,gmsd,clamp_events"
 
 
@@ -151,11 +151,6 @@ def cmd_pareto(args) -> int:
     return 0
 
 
-def _eval_row(report_psnr: float, report_ssim: float, report_gmsd: float) -> str:
-    psnr_field = "inf" if np.isinf(report_psnr) else f"{report_psnr:.6f}"
-    return f"{psnr_field},{report_ssim:.6f},{report_gmsd:.6f}"
-
-
 def cmd_eval(args) -> int:
     ref = load_image(args.ref)
     test = load_image(args.test)
@@ -164,13 +159,11 @@ def cmd_eval(args) -> int:
             f"shape mismatch: {args.ref} is {ref.data.shape}, "
             f"{args.test} is {test.data.shape}"
         )
-    print(
-        _eval_row(
-            psnr(ref.data, test.data, peak=args.peak),
-            ssim(ref.data, test.data),
-            gmsd(ref.data, test.data),
-        )
-    )
+    report_psnr = psnr(ref.data, test.data, peak=args.peak)
+    report_ssim = ssim(ref.data, test.data)
+    report_gmsd = gmsd(ref.data, test.data)
+    psnr_field = "inf" if np.isinf(report_psnr) else f"{report_psnr:.6f}"
+    print(f"{psnr_field},{report_ssim:.6f},{report_gmsd:.6f}")
     return 0
 
 
@@ -216,11 +209,12 @@ def cmd_train(args) -> int:
         # written before the adversarial phase, so a failure there keeps it
         pretrain_path = out / "pretrain.csv"
         _write_csv(pretrain_path, PRETRAIN_HEADER, pre_rows)
-        history = model.adversarial_phase(g, d, images, config)
 
         history_path = out / "history.csv"
         checkpoint_path = out / "checkpoint.hvgn"
-        _write_csv(history_path, HISTORY_HEADER, history)
+        _write_csv(
+            history_path, HISTORY_HEADER, model.adversarial_phase(g, d, images, config)
+        )
         model.save_checkpoint(checkpoint_path, g.params() + d.params())
         outputs = [str(pretrain_path), str(history_path), str(checkpoint_path)]
         _write_manifest(out, config, raw_text, started, {"outputs": outputs})
@@ -266,16 +260,6 @@ def _evaluate_generator(g: model.GeneratorNet, eval_pairs) -> tuple[float, float
     return float(np.mean(psnrs)), float(np.mean(ssims)), float(np.mean(gmsds))
 
 
-def _normalized_history(hv_log_rows, config: model.TrainConfig) -> list[tuple]:
-    """``hv_log``'s history rows with ``scalar`` recomputed as ``hv_log_norm``,
-    by the call ``model.train_step_generator`` makes in that mode."""
-    mu, eps = config.resolved_mu, config.eps
-    return [
-        (*row[:4], scalarize(np.array(row[1:4]), "hv_log_norm", mu, eps), *row[5:])
-        for row in hv_log_rows
-    ]
-
-
 def cmd_compare(args) -> int:
     config, raw_text = _read_config(args.config)
     if not config.eval_list:
@@ -302,20 +286,27 @@ def cmd_compare(args) -> int:
                 # hv_log_norm differs from hv_log, the mode before it, by the
                 # constant sum_k log(mu_k), so both take the gradient weights
                 # 1/max(mu_k - l_k, eps) and train the same trajectory: reuse
-                # hv_log's rows and metrics, with the normalized scalar
-                history = _normalized_history(history, config)
+                # hv_log's rows and metrics, with the scalar recomputed by the
+                # call model.train_step_generator makes in this mode
+                mu, eps = config.resolved_mu, config.eps
+                history = [
+                    r._replace(scalar=scalarize(
+                        np.array([r.l_gan, r.l_pix, r.l_fea]), mode_name, mu, eps
+                    ))
+                    for r in history
+                ]
             else:
                 # every trained mode starts from the pretrained weights
                 model.set_state(params, pretrained)
-                history = model.adversarial_phase(
+                history = list(model.adversarial_phase(
                     g, d, images, dataclasses.replace(config, mode=mode_name)
-                )
+                ))
                 metrics = _evaluate_generator(g, eval_pairs)
             history_path = out / mode_name / "history.csv"
             history_path.parent.mkdir(exist_ok=True)
             _write_csv(history_path, HISTORY_HEADER, history)
             outputs.append(str(history_path))
-            clamp_events = sum(int(r[8]) for r in history)
+            clamp_events = sum(r.clamped for r in history)
             rows.append((mode_name, *metrics, clamp_events))
 
         results_path = out / "results.csv"

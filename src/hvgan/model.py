@@ -9,9 +9,10 @@ and ``hvgan compare`` share: on the corpus the caller loaded, it builds G and
 D and pretrains G on the pixel loss. Both then run ``adversarial_phase``:
 ``train`` once, and ``compare`` once per gradient rule from the same
 pretrained weights, for ``linear`` and for ``hv_log``, whose trajectory
-``hv_log_norm`` shares (see below). This module computes and returns rows;
-``cli`` writes every run artifact, calling ``save_checkpoint`` for the
-checkpoint format kept here.
+``hv_log_norm`` shares (see below). This module computes the rows, and
+``adversarial_phase`` yields each ``HistoryRow`` as its iteration ends; the
+row's field names are ``history.csv``'s header. ``cli`` writes every run
+artifact, calling ``save_checkpoint`` for the checkpoint format kept here.
 
 An adversarial iteration runs the generator forward once. ``fake =
 G(lr_batch)`` is recorded on a tape kept for G; the discriminator step trains
@@ -43,10 +44,11 @@ import math
 import os
 import struct
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -85,6 +87,7 @@ __all__ = [
     "train_step_discriminator",
     "train_step_generator",
     "adversarial_phase",
+    "HistoryRow",
     "pretrain",
     "load_corpus",
     "lr_at",
@@ -107,7 +110,11 @@ _DEFAULT_MU = {"relativistic": (20.0, 0.1, 10.0), "standard": (200.0, 0.1, 10.0)
 # The training phases run with numpy's floating-point warnings off: the tape
 # checks every op result and raises a FloatingPointError naming the op, so a
 # diverging run ends with that one error and no warning lines before it.
-_FP_WARNINGS_OFF = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+# np.errstate's arguments, not an instance: an instance cannot be entered twice.
+_FP_WARNINGS_OFF = dict(over="ignore", invalid="ignore", divide="ignore")
+
+# One adversarial iteration's record; the field names are history.csv's header.
+HistoryRow = namedtuple("HistoryRow", "iter l_gan l_pix l_fea scalar w_gan w_pix w_fea clamped lr")
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +490,7 @@ def _draw_batch(
     return np.stack(lrs), np.stack(hrs)
 
 
-@_FP_WARNINGS_OFF
+@np.errstate(**_FP_WARNINGS_OFF)
 def pretrain_generator(
     g: GeneratorNet, images: Sequence[ImageBuffer], config: TrainConfig
 ) -> list[tuple[int, float]]:
@@ -584,38 +591,38 @@ def train_step_generator(
     return losses, scalar, weights, clamped
 
 
-@_FP_WARNINGS_OFF
 def adversarial_phase(
     g: GeneratorNet,
     d: DiscriminatorNet,
     images: Sequence[ImageBuffer],
     config: TrainConfig,
-) -> list[tuple]:
+) -> Iterator[HistoryRow]:
     """Alternating D/G steps (1:1), one shared batch per iteration, drawn
     from stream ``[seed, 2]``, and one generator forward per iteration. The
-    frozen feature extractor is drawn from stream ``[seed, 3]``."""
+    frozen feature extractor is drawn from stream ``[seed, 3]``. Yields one
+    ``HistoryRow`` as each iteration ends; floating-point warnings are off
+    for the iteration's work only, not for the caller's code between rows."""
     rng = np.random.default_rng([config.seed, 2])
     extractor = FeatureExtractor(
         images[0].channels, [config.seed, 3], config.feature_tap
     )
     opt_g = Adam(g.params(), config.lr)
     opt_d = Adam(d.params(), config.lr)
-    rows = []
     for t in range(1, config.adversarial_iters + 1):
-        step_lr = lr_at(config.lr, config.lr_milestones, t)
-        opt_g.lr = step_lr
-        opt_d.lr = step_lr
-        lr_batch, hr_batch = _draw_batch(
-            images, config.batch_size, config.patch_size, rng
-        )
-        with ad.Tape() as tape:
-            fake = g.forward(ad.Tensor(lr_batch))
-        train_step_discriminator(d, fake, hr_batch, opt_d)
-        losses, scalar, weights, clamped = train_step_generator(
-            d, tape, fake, hr_batch, config, opt_g, extractor
-        )
-        rows.append((t, *losses, scalar, *weights, clamped, step_lr))
-    return rows
+        with np.errstate(**_FP_WARNINGS_OFF):
+            step_lr = lr_at(config.lr, config.lr_milestones, t)
+            opt_g.lr = step_lr
+            opt_d.lr = step_lr
+            lr_batch, hr_batch = _draw_batch(
+                images, config.batch_size, config.patch_size, rng
+            )
+            with ad.Tape() as tape:
+                fake = g.forward(ad.Tensor(lr_batch))
+            train_step_discriminator(d, fake, hr_batch, opt_d)
+            losses, scalar, weights, clamped = train_step_generator(
+                d, tape, fake, hr_batch, config, opt_g, extractor
+            )
+        yield HistoryRow(t, *losses, scalar, *weights, clamped, step_lr)
 
 
 def pretrain(config: TrainConfig, images: Sequence[ImageBuffer]):

@@ -14,7 +14,7 @@ projections are kept as an incremental nondominated front of plain float
 tuples: each new projection joins the front and evicts the projections it
 dominates, so no level has to deduplicate or Pareto-filter its input and no
 recursive call touches numpy. The supported sizes are at most 6 objectives
-and 32 nondominated points.
+and 32 distinct nondominated points.
 """
 
 from __future__ import annotations
@@ -188,14 +188,14 @@ def hypervolume_exact(s: PointSet, r) -> float:
         raise ValueError(
             f"hypervolume_exact supports at most {MAX_HV_DIM} objectives, got {ref.size}"
         )
-    nd = pts[_pareto_mask(pts)]
-    if nd.shape[0] > MAX_HV_POINTS:
+    # Distinct rows only: a duplicate adds no volume, and does not count
+    # against the point limit.
+    front = list(set(map(tuple, pts[_pareto_mask(pts)].tolist())))
+    if len(front) > MAX_HV_POINTS:
         raise ValueError(
             f"hypervolume_exact supports at most {MAX_HV_POINTS} nondominated "
-            f"points, got {nd.shape[0]}"
+            f"points, got {len(front)}"
         )
-    # Distinct rows only: a duplicate adds no volume.
-    front = list(set(map(tuple, nd.tolist())))
     volume = _hv_recursive(front, tuple(ref.tolist()))
     if not math.isfinite(volume):
         raise ValueError(

@@ -249,7 +249,7 @@ def test_adversarial_stability(capsys, tmp_path):
     )
     g, d = model.init_networks(0, 1, cfg.gen_width, cfg.disc_width)
     model.pretrain_generator(g, corpus, dataclasses.replace(cfg, lr=1e-3, norm_p=2))
-    rows = model.adversarial_phase(g, d, corpus, cfg)
+    rows = list(model.adversarial_phase(g, d, corpus, cfg))
     all_finite = len(rows) == 1000 and all(
         math.isfinite(float(v)) for row in rows for v in row
     )

@@ -245,7 +245,9 @@ class TestEveryGradientIsKept:
     def test_adversarial_iteration(self, dropped, adversarial, norm_p):
         cfg = self._config(adversarial=adversarial, norm_p=norm_p)
         g, d = model.init_networks(cfg.seed, 1, cfg.gen_width, cfg.disc_width)
-        model.adversarial_phase(g, d, make_corpus(seed=5, count=2, size=16), cfg)
+        images = make_corpus(seed=5, count=2, size=16)
+        rows = list(model.adversarial_phase(g, d, images, cfg))
+        assert len(rows) == cfg.adversarial_iters == 1
         assert dropped == []
 
     @pytest.mark.parametrize("name", sorted(ad.PRIMITIVES))
@@ -337,7 +339,7 @@ class TestTheTapeKeepsOnlyWhatBackwardReads:
             self.N, self.HR, self.GW, self.DW
         )
         g, d = model.init_networks(cfg.seed, self.C, cfg.gen_width, cfg.disc_width)
-        model.adversarial_phase(g, d, make_corpus(seed=5, count=2, size=64), cfg)
+        list(model.adversarial_phase(g, d, make_corpus(seed=5, count=2, size=64), cfg))
         assert held == [self._d_step_bytes(), self._g_step_bytes(adversarial)]
 
     def test_bias_add_and_frozen_conv_outputs_die_when_dropped(self):

@@ -112,6 +112,13 @@ class TestHv:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "3.00000000000\n"
 
+    def test_repeated_point_counts_once_against_the_point_limit(self, tmp_path):
+        pts = tmp_path / "p.csv"
+        pts.write_text("1,2\n" * 33)
+        proc = run_cli("hv", str(pts), "--ref", "3,3")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "2.00000000000\n"
+
     def test_empty_file_prints_zero(self, tmp_path):
         pts = tmp_path / "e.csv"
         pts.write_text("")
@@ -490,7 +497,7 @@ class TestTrain:
         config, _ = cli._read_config(cfg_path)
         images = model.load_corpus(config.dataset)
         g, d, _ = model.pretrain(config, images)
-        model.adversarial_phase(g, d, images, config)
+        list(model.adversarial_phase(g, d, images, config))
         state = load_checkpoint(tmp_path / "ck" / "checkpoint.hvgn")
         assert list(state) == [p.name for p in g.params() + d.params()]
         for p in g.params() + d.params():

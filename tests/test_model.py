@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -616,18 +617,25 @@ class TestNoDiscardedGradients:
 
 class TestAdversarialPhase:
     @staticmethod
-    def _run(mode="hv_log", iters=6, milestones=(4,), seed=50, mu=None):
+    def _phase(mode="hv_log", iters=6, milestones=(4,), seed=50, mu=None, lr=1e-3):
+        """The phase's row generator, not yet started."""
         images = make_corpus(seed=seed, count=2, size=24)
         cfg = TrainConfig(
             dataset="unused", output_dir="unused", seed=seed, mode=mode, mu=mu,
             pretrain_iters=0, adversarial_iters=iters, batch_size=2,
-            patch_size=8, lr=1e-3, lr_milestones=milestones,
+            patch_size=8, lr=lr, lr_milestones=milestones,
             gen_width=4, disc_width=4,
         )
         g, d = init_networks(seed, 1, cfg.gen_width, cfg.disc_width)
         return adversarial_phase(g, d, images, cfg)
 
-    def test_one_generator_forward_per_iteration(self, monkeypatch):
+    @classmethod
+    def _run(cls, **kwargs):
+        return list(cls._phase(**kwargs))
+
+    @pytest.fixture
+    def g_forwards(self, monkeypatch):
+        """The input shape of every generator forward, in call order."""
         calls = []
         forward = model.GeneratorNet.forward
 
@@ -636,16 +644,40 @@ class TestAdversarialPhase:
             return forward(g, x)
 
         monkeypatch.setattr(model.GeneratorNet, "forward", counted)
+        return calls
+
+    def test_one_generator_forward_per_iteration(self, g_forwards):
         self._run(iters=3)
-        assert len(calls) == 3
+        assert len(g_forwards) == 3
+
+    def test_each_row_is_yielded_as_its_iteration_ends(self, g_forwards):
+        phase = self._phase(iters=3)
+        assert g_forwards == []
+        row = next(phase)
+        assert isinstance(row, model.HistoryRow)
+        assert row.iter == 1
+        assert len(g_forwards) == 1
+
+    def test_a_diverging_iteration_raises_without_a_warning(self):
+        # Adam steps of about 1e308 overflow D in the first iteration; the
+        # tape names the op, and numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                self._run(iters=2, lr=1e308)
+
+    def test_the_caller_keeps_its_warning_setting_between_rows(self):
+        with np.errstate(over="warn", invalid="warn", divide="warn"):
+            caller = np.geterr()
+            assert [np.geterr() for _ in self._phase(iters=2)] == [caller] * 2
 
     def test_one_row_per_iteration(self):
         rows = self._run(iters=5)
-        assert [r[0] for r in rows] == [1, 2, 3, 4, 5]
+        assert [r.iter for r in rows] == [1, 2, 3, 4, 5]
 
     def test_lr_column_halves_at_milestone(self):
         rows = self._run(iters=6, milestones=(4,))
-        lrs = [r[9] for r in rows]
+        lrs = [r.lr for r in rows]
         assert lrs[:3] == [1e-3] * 3
         assert lrs[3:] == [5e-4] * 3
 
@@ -653,9 +685,9 @@ class TestAdversarialPhase:
         mu = (20.0, 0.1, 10.0)
         rows = self._run(mode="hv_log", iters=5, mu=mu)
         for row in rows:
-            l = np.array(row[1:4])
+            l = np.array([row.l_gan, row.l_pix, row.l_fea])
             want = float(-np.sum(np.log(np.maximum(np.array(mu) - l, 1e-6))))
-            assert row[4] == pytest.approx(want, rel=1e-12)
+            assert row.scalar == pytest.approx(want, rel=1e-12)
 
     def test_identical_runs_give_identical_rows(self):
         assert self._run(seed=51) == self._run(seed=51)
@@ -678,7 +710,7 @@ class TestTrainEndToEnd:
         )
         images = load_corpus(cfg.dataset)
         g, d, pre_rows = model.pretrain(cfg, images)
-        history = adversarial_phase(g, d, images, cfg)
+        history = list(adversarial_phase(g, d, images, cfg))
         ckpt = tmp_path / f"{sub}.hvgn"
         save_checkpoint(ckpt, g.params() + d.params())
         return pre_rows, history, ckpt.read_bytes()

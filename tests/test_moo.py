@@ -277,6 +277,13 @@ class TestHypervolumeExact:
             100.0 * 100.0, rel=1e-12
         )
 
+    def test_point_limit_counts_distinct_points(self):
+        # 33 copies of one point are a one-point front
+        assert hypervolume_exact(pset([(1.0, 2.0)] * 33), (3.0, 3.0)) == 2.0
+        antichain = [(float(i), float(40 - i)) for i in range(40)]
+        with pytest.raises(ValueError, match="at most 32 nondominated points, got 40"):
+            hypervolume_exact(pset(antichain), (100.0, 100.0))
+
     def test_point_limit_value(self):
         assert MAX_HV_POINTS == 32 and MAX_HV_DIM == 6
 

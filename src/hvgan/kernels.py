@@ -21,8 +21,9 @@ Each conv2d kernel picks its algorithm from the layer's channel counts alone
 - Input gradient, C >= O: a forward pass with the flipped kernel (O in, C
   out), which the forward rule dispatches.
 
-The dominance counter compares the samples column by column, one point at a
-time.
+The dominance counter transposes the samples into one contiguous column per
+objective. For each point it makes one ``column >= value`` comparison of all
+columns into an (n, B) flag buffer and AND-reduces it over the objectives.
 """
 
 from __future__ import annotations
@@ -177,11 +178,9 @@ def count_dominated(samples: np.ndarray, points: np.ndarray) -> int:
     points = np.asarray(points, dtype=np.float64)
     dominated = np.zeros(cols.shape[1], dtype=bool)
     hit = np.empty_like(dominated)
-    cmp = np.empty_like(dominated)
+    cmp = np.empty(cols.shape, dtype=bool)
     for p in points:
-        np.greater_equal(cols[0], p[0], out=hit)
-        for col, v in zip(cols[1:], p[1:], strict=True):
-            np.greater_equal(col, v, out=cmp)
-            hit &= cmp
+        np.greater_equal(cols, p[:, None], out=cmp)
+        np.logical_and.reduce(cmp, axis=0, out=hit)
         dominated |= hit
     return int(np.count_nonzero(dominated))

@@ -13,8 +13,11 @@ a lower-dimensional hypervolume of the projected points seen so far. Those
 projections are kept as an incremental nondominated front of plain float
 tuples: each new projection joins the front and evicts the projections it
 dominates, so no level has to deduplicate or Pareto-filter its input and no
-recursive call touches numpy. The supported sizes are at most 6 objectives
-and 32 distinct nondominated points.
+recursive call touches numpy. A sub-volume depends only on its set of
+projections, and at 4 or more objectives many slabs share one, so within one
+call each sub-volume at 3 or more objectives is computed once and reused; the
+result has the same bits as a sweep without reuse. The supported sizes are at
+most 6 objectives and 32 distinct nondominated points.
 """
 
 from __future__ import annotations
@@ -146,9 +149,14 @@ def _to_min_arrays(s: PointSet, r) -> tuple[np.ndarray, np.ndarray]:
     return pts, ref
 
 
-def _hv_recursive(front: list, ref: tuple) -> float:
+def _hv_recursive(front: list, ref: tuple, memo: dict) -> float:
     """Exact hypervolume of distinct, mutually nondominated minimize-oriented
-    float tuples against ref; the result depends only on the set."""
+    float tuples against ref; the result depends only on the set.
+
+    Results at 3 or more objectives are kept in ``memo`` under the set, so a
+    sub-front that several slabs share is swept once. A key's tuples have the
+    level's length, so the levels of one call cannot collide.
+    """
     n = len(ref)
     if n == 1:
         return ref[0] - min(p[0] for p in front)
@@ -159,6 +167,9 @@ def _hv_recursive(front: list, ref: tuple) -> float:
             next_x = pts[i + 1][0] if i + 1 < len(pts) else ref[0]
             area += (next_x - x) * (ref[1] - y)
         return area
+    key = frozenset(front)
+    if key in memo:
+        return memo[key]
     # No point's projection is weakly dominated by the projections before it
     # (the point itself would then be dominated), so every point joins the
     # front and only evicts the projections it dominates.
@@ -175,7 +186,8 @@ def _hv_recursive(front: list, ref: tuple) -> float:
         # Tied points close one slab together, at the last of them; a
         # point on the reference face closes none.
         if z_next != z:
-            total += (z_next - z) * _hv_recursive(slab, sub_ref)
+            total += (z_next - z) * _hv_recursive(slab, sub_ref, memo)
+    memo[key] = total
     return total
 
 
@@ -196,7 +208,7 @@ def hypervolume_exact(s: PointSet, r) -> float:
             f"hypervolume_exact supports at most {MAX_HV_POINTS} nondominated "
             f"points, got {len(front)}"
         )
-    volume = _hv_recursive(front, tuple(ref.tolist()))
+    volume = _hv_recursive(front, tuple(ref.tolist()), {})
     if not math.isfinite(volume):
         raise ValueError(
             f"hypervolume_exact: volume overflows float64 for reference point "
@@ -237,13 +249,15 @@ def hypervolume_mc(
     block = max(1, MC_BLOCK_VALUES // ref.size)
     buf = np.empty((min(block, samples), ref.size))
     side = ref - ideal
+    # a dominated point's box lies inside its dominator's: it adds no hit
+    front = pts[_pareto_mask(pts)]
     hits = 0
     for start in range(0, samples, block):
         draw = buf[: min(block, samples - start)]
         rng.random(out=draw)
         draw *= side
         draw += ideal
-        hits += kernels.count_dominated(draw, pts)
+        hits += kernels.count_dominated(draw, front)
     frac = hits / samples
     est = frac * box_vol
     stderr = box_vol * float(np.sqrt(frac * (1.0 - frac) / samples))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -31,6 +32,42 @@ def hv_inclusion_exclusion(points: np.ndarray, ref: np.ndarray) -> float:
             side = ref - corner
             if np.all(side >= 0.0):
                 total += sign * float(np.prod(side))
+    return total
+
+
+def hv_sweep_plain(front: list, ref: tuple) -> float:
+    """Exact hypervolume of distinct, mutually nondominated minimize-oriented
+    float tuples against ref, by the slicing-objectives dimension sweep with
+    no reuse of sub-volumes: every slab recomputes its lower-dimensional
+    volume. Its float operations are those of the memoized sweep in
+    ``hvgan.moo``, so the two must agree bit for bit."""
+    n = len(ref)
+    if n == 1:
+        return ref[0] - min(p[0] for p in front)
+    if n == 2:
+        pts = sorted(front)
+        area = 0.0
+        for i, (x, y) in enumerate(pts):
+            next_x = pts[i + 1][0] if i + 1 < len(pts) else ref[0]
+            area += (next_x - x) * (ref[1] - y)
+        return area
+    # No point's projection is weakly dominated by the projections before it
+    # (the point itself would then be dominated), so every point joins the
+    # front and only evicts the projections it dominates.
+    pts = sorted(front, key=lambda p: p[-1])
+    sub_ref = ref[:-1]
+    slab: list = []
+    total = 0.0
+    for i, p in enumerate(pts):
+        q = p[:-1]
+        slab = [f for f in slab if not all(map(operator.le, q, f))]
+        slab.append(q)
+        z = p[-1]
+        z_next = pts[i + 1][-1] if i + 1 < len(pts) else ref[-1]
+        # Tied points close one slab together, at the last of them; a
+        # point on the reference face closes none.
+        if z_next != z:
+            total += (z_next - z) * hv_sweep_plain(slab, sub_ref)
     return total
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hvgan import kernels
-from hvgan.moo import MAX_HV_DIM
+from hvgan.moo import MAX_HV_DIM, _pareto_mask
 
 from oracles import conv2d_grad_input_naive, conv2d_grad_weight_naive, conv2d_naive
 
@@ -138,6 +138,22 @@ class TestNumpyKernels:
         # samples equal to a point count as (weakly) dominated
         pts = rng.uniform(size=(4, 3))
         cases.append((pts, np.vstack([pts, pts - 0.01, rng.uniform(size=(50, 3))])))
+        # one objective, and no points at all
+        cases.append((rng.uniform(size=(3, 1)), rng.uniform(size=(100, 1))))
+        cases.append((np.zeros((0, 4)), rng.uniform(size=(30, 4))))
+        # dominated and duplicate rows add no hit: their nondominated rows
+        # count the same samples
+        grid = rng.integers(0, 4, size=(12, 3)).astype(float)
+        front = rng.uniform(0.2, 0.6, size=(6, 6))
+        for pts in (
+            np.vstack([grid, grid[:4]]),
+            np.vstack([front, front[:2] + 0.1, front[:3], front[1:2] + 0.3]),
+        ):
+            smp = rng.uniform(pts.min(0), pts.max(0) + 0.5, size=(500, pts.shape[1]))
+            cases.append((pts, smp))
+            assert kernels.count_dominated(smp, pts[_pareto_mask(pts)]) == (
+                kernels.count_dominated(smp, pts)
+            )
         for pts, smp in cases:
             want = int(
                 ((pts[None, :, :] <= smp[:, None, :]).all(2).any(1)).sum()

@@ -17,7 +17,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -399,16 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NEGATIVE_LEAD = re.compile(r"-\.?\d")
-
-
 def _attach_negative_ref(argv: list[str]) -> list[str]:
     """argparse reads a token that starts with '-' as an option unless it is
-    one plain negative number, so ``--ref -1,-1`` would lose its value. Join
-    such a value to its flag, giving ``--ref=-1,-1``."""
+    one plain negative number, so ``--ref -1,-1`` or ``--ref -inf,0`` would
+    lose its value. Join any value led by a single '-' to its flag, giving
+    ``--ref=-1,-1``, so both forms read and fail alike."""
     out = []
     for tok in argv:
-        if out and out[-1] == "--ref" and _NEGATIVE_LEAD.match(tok):
+        if out and out[-1] == "--ref" and tok.startswith("-") and not tok.startswith("--"):
             out[-1] = f"--ref={tok}"
         else:
             out.append(tok)

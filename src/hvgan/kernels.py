@@ -1,15 +1,16 @@
 """Hot numeric kernels: same-padding conv2d and Monte-Carlo dominance counting.
 
-Each conv2d kernel picks its algorithm from the layer's channel counts alone
-(C in, O out), so a rerun takes the same path and gives the same bits:
+The kernels take float64 arrays as given; ``autodiff.Tensor`` converts once.
+Every padded operand, input or output gradient, is a ``_flat_buffer``: a
+zero-padded flat channel-major buffer in which each kernel tap is a column
+offset. Each conv2d kernel picks its algorithm from the layer's channel
+counts alone (C in, O out), so a rerun takes the same path and bits:
 
 - Forward and weight gradient, O <= C (the layer keeps or narrows its
-  width): shifted GEMMs, the kn2row family. The input is zero-padded once
-  into a flat channel-major buffer in which each kernel tap is a column
-  offset. The forward pass sums one (O, C) x (C, L) GEMM per tap and crops
-  the valid pixels; the weight gradient of tap (i, j) is the output gradient
-  on the padded grid times the tap's shifted slice, transposed. No patch
-  matrix is built.
+  width): shifted GEMMs, the kn2row family. The forward pass sums one
+  (O, C) x (C, L) GEMM per tap and crops the valid pixels; the weight
+  gradient of tap (i, j) is the output gradient on the padded grid times
+  the tap's shifted slice, transposed. No patch matrix is built.
 - Forward and weight gradient, O > C: im2col and one GEMM. The patch matrix
   ``cols`` is channel-first, (C*kh*kw, N*H*W), one slice copy per tap of the
   same padded buffer; the forward pass is ``w.reshape(O, -1) @ cols`` and
@@ -42,8 +43,8 @@ BACKEND = "numpy"
 
 
 def _flat_buffer(n: int, c: int, h: int, w: int, kh: int, kw: int):
-    """Zero (C, N*Hp*Wp + slack) buffer and the (C, N, H, W) view of its
-    interior, with Hp = H+kh-1 and Wp = W+kw-1.
+    """Zero (C, N*Hp*Wp + slack) buffer, its (C, N, Hp, Wp) grid and the
+    (C, N, H, W) view of the grid's interior, with Hp = H+kh-1 and Wp = W+kw-1.
 
     Padded pixel (n, y, x) sits at column ``(n*Hp + y)*Wp + x``, so the pixel
     that tap (i, j) reads for output pixel (n, y, x) is ``i*Wp + j`` columns
@@ -53,26 +54,27 @@ def _flat_buffer(n: int, c: int, h: int, w: int, kh: int, kw: int):
     hp, wp = h + kh - 1, w + kw - 1
     buf = np.zeros((c, n * hp * wp + (kh - 1) * wp + kw - 1))
     grid = buf[:, : n * hp * wp].reshape(c, n, hp, wp)
-    return buf, grid[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w]
+    return buf, grid, grid[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w]
 
 
-def _pad_flat(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(N,C,H,W) -> its zero-padded ``_flat_buffer``."""
-    buf, interior = _flat_buffer(*x.shape, kh, kw)
+def _pad_flat(x: np.ndarray, kh: int, kw: int):
+    """(N,C,H,W) -> its zero-padded ``_flat_buffer`` and that buffer's grid."""
+    buf, grid, interior = _flat_buffer(*x.shape, kh, kw)
     interior[...] = x.transpose(1, 0, 2, 3)
-    return buf
+    return buf, grid
 
 
 def _pad_grad(gy: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """(N,O,H,W) output gradient -> (O, N*Hp*Wp) on the grid of ``_pad_flat``.
 
-    Output pixel (n, y, x) goes to column ``(n*Hp + y)*Wp + x``, the column
-    of the padded pixel its tap (0, 0) reads; the other columns are zero.
+    Output pixel (n, y, x) sits at column ``(n*Hp + y)*Wp + x``, the column
+    of the padded pixel its tap (0, 0) reads: the window of ``_pad_flat(gy)``
+    that starts at the centre tap's offset. The window's other columns fall
+    in padding or in the trailing slack, so they are zero.
     """
-    n, o, h, w = gy.shape
-    g = np.zeros((o, n, h + kh - 1, w + kw - 1))
-    g[:, :, :h, :w] = gy.transpose(1, 0, 2, 3)
-    return g.reshape(o, -1)
+    buf, grid = _pad_flat(gy, kh, kw)
+    off = (kh // 2) * grid.shape[3] + kw // 2
+    return buf[:, off : off + grid[0].size]
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -83,8 +85,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     the padded input that fills C contiguous rows of N*H*W values.
     """
     n, c, h, w = x.shape
-    hp, wp = h + kh - 1, w + kw - 1
-    xp = _pad_flat(x, kh, kw)[:, : n * hp * wp].reshape(c, n, hp, wp)
+    _, xp = _pad_flat(x, kh, kw)
     cols = np.empty((c, kh, kw, n, h, w))
     for i in range(kh):
         for j in range(kw):
@@ -97,16 +98,13 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Shifted GEMMs where O <= C, im2col otherwise.
     """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     if o > c:
         out = w.reshape(o, -1) @ _im2col(x, kh, kw)
         return np.ascontiguousarray(out.reshape(o, n, h, wd).transpose(1, 0, 2, 3))
-    buf = _pad_flat(x, kh, kw)
-    hp, wp = h + kh - 1, wd + kw - 1
-    size = n * hp * wp
+    buf, grid = _pad_flat(x, kh, kw)
+    wp, size = grid.shape[3], grid[0].size
     taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
     out = taps[0, 0] @ buf[:, :size]
     part = np.empty_like(out)
@@ -116,7 +114,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
                 off = i * wp + j
                 np.matmul(taps[i, j], buf[:, off : off + size], out=part)
                 out += part
-    out = out.reshape(o, n, hp, wp)[:, :, :h, :wd]
+    out = out.reshape(o, *grid.shape[1:])[:, :, :h, :wd]
     return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
@@ -134,12 +132,9 @@ def conv2d_grad_input(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
     if c >= o:
         w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
         return conv2d_forward(gy, w_flip)
-    gy = np.asarray(gy, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    wp = wd + kw - 1
-    size = n * (h + kh - 1) * wp
-    cols = (w.reshape(o, -1).T @ _pad_grad(gy, kh, kw)).reshape(c, kh, kw, size)
-    buf, gx = _flat_buffer(n, c, h, wd, kh, kw)
+    cols = (w.reshape(o, -1).T @ _pad_grad(gy, kh, kw)).reshape(c, kh, kw, -1)
+    buf, grid, gx = _flat_buffer(n, c, h, wd, kh, kw)
+    wp, size = grid.shape[3], grid[0].size
     for i in range(kh):
         for j in range(kw):
             off = i * wp + j
@@ -152,16 +147,12 @@ def conv2d_grad_weight(x: np.ndarray, gy: np.ndarray, kh: int, kw: int) -> np.nd
 
     Shifted GEMMs where O <= C, im2col otherwise.
     """
-    x = np.asarray(x, dtype=np.float64)
-    gy = np.asarray(gy, dtype=np.float64)
-    n, c, h, wd = x.shape
-    o = gy.shape[1]
+    c, o = x.shape[1], gy.shape[1]
     if o > c:
         gflat = gy.transpose(1, 0, 2, 3).reshape(o, -1)
         return (gflat @ _im2col(x, kh, kw).T).reshape(o, c, kh, kw)
-    buf = _pad_flat(x, kh, kw)
-    hp, wp = h + kh - 1, wd + kw - 1
-    size = n * hp * wp
+    buf, grid = _pad_flat(x, kh, kw)
+    wp, size = grid.shape[3], grid[0].size
     # the zero columns of g drop the products of pixels outside the output
     g = _pad_grad(gy, kh, kw)
     gw = np.empty((kh, kw, o, c))
@@ -174,8 +165,7 @@ def conv2d_grad_weight(x: np.ndarray, gy: np.ndarray, kh: int, kw: int) -> np.nd
 
 def count_dominated(samples: np.ndarray, points: np.ndarray) -> int:
     """Number of rows of ``samples`` weakly dominated by any row of ``points``."""
-    cols = np.ascontiguousarray(np.asarray(samples, dtype=np.float64).T)
-    points = np.asarray(points, dtype=np.float64)
+    cols = np.ascontiguousarray(samples.T)
     dominated = np.zeros(cols.shape[1], dtype=bool)
     hit = np.empty_like(dominated)
     cmp = np.empty(cols.shape, dtype=bool)

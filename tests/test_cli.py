@@ -160,6 +160,16 @@ class TestHv:
         joined = run_cli("hv", str(pts), "--orient", "max", f"--ref={ref}")
         assert joined.stdout == proc.stdout
 
+    @pytest.mark.parametrize("ref", ["-inf,0", "-Infinity,3"])
+    def test_non_finite_negative_reference_fails_alike_in_both_forms(self, tmp_path, ref):
+        pts = tmp_path / "m.csv"
+        pts.write_text("1,2\n2,1\n")
+        proc = run_cli("hv", str(pts), "--orient", "max", "--ref", ref)
+        joined = run_cli("hv", str(pts), "--orient", "max", f"--ref={ref}")
+        assert joined.returncode == 1
+        assert "components must be finite" in joined.stderr
+        assert (proc.returncode, proc.stderr) == (joined.returncode, joined.stderr)
+
     def test_non_numeric_reference_field_names_ref_and_position(self, tmp_path):
         pts = tmp_path / "p.csv"
         pts.write_text("1,2\n2,1\n")

@@ -123,6 +123,17 @@ class TestNumpyKernels:
             want = conv2d_grad_weight_naive(x, gy, kh, kw)
             assert np.allclose(got, want, rtol=0, atol=1e-12)
 
+    def test_pad_grad_is_the_output_gradient_on_the_padded_grid(self):
+        # the kh > H shapes put the end of the window in the trailing slack
+        rng = np.random.default_rng(89)
+        for (n, _, h, w), (o, kh, kw) in FIXED_SHAPES:
+            gy = rng.standard_normal((n, o, h, w))
+            want = np.zeros((o, n, h + kh - 1, w + kw - 1))
+            want[:, :, :h, :w] = gy.transpose(1, 0, 2, 3)
+            got = kernels._pad_grad(gy, kh, kw)
+            assert got.shape == (o, want[0].size)
+            assert np.array_equal(got, want.reshape(o, -1))
+
     def test_count_dominated_small_cases(self):
         points = np.array([[0.5, 0.5]])
         samples = np.array([[0.4, 0.9], [0.6, 0.6], [0.5, 0.5], [0.9, 0.4]])

@@ -22,9 +22,11 @@ counts alone (C in, O out), so a rerun takes the same path and bits:
 - Input gradient, C >= O: a forward pass with the flipped kernel (O in, C
   out), which the forward rule dispatches.
 
-The dominance counter transposes the samples into one contiguous column per
-objective. For each point it makes one ``column >= value`` comparison of all
-columns into an (n, B) flag buffer and AND-reduces it over the objectives.
+The dominance counter reads the (B, n) samples as one contiguous column per
+objective. ``moo.hypervolume_mc`` hands over the transposed view of a
+column-major buffer, so the transpose copies nothing; a row-major block is
+copied once. For each point it makes one ``column >= value`` comparison of
+all columns into an (n, B) flag buffer and AND-reduces it over the objectives.
 """
 
 from __future__ import annotations

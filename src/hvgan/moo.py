@@ -47,6 +47,9 @@ MAX_HV_POINTS = 32
 # hypervolume_mc draws its samples in blocks of about this many coordinates
 # (1 MiB of float64), so its memory does not grow with the sample count
 MC_BLOCK_VALUES = 1 << 17
+# _pareto_mask compares blocks of rows whose (n, rows, k) flags take about
+# this many bytes
+PARETO_BLOCK_BYTES = 1 << 17
 
 
 class Orientation(Enum):
@@ -103,15 +106,24 @@ class PointSet:
 
 
 def _pareto_mask(arr: np.ndarray) -> np.ndarray:
-    """Boolean mask of nondominated rows of a minimize-oriented (k,n) array."""
-    k = arr.shape[0]
-    keep = np.ones(k, dtype=bool)
-    for i in range(k):
-        # rows that dominate row i: <= everywhere and < somewhere
-        leq = (arr <= arr[i]).all(axis=1)
-        lt = (arr < arr[i]).any(axis=1)
-        if np.any(leq & lt):
-            keep[i] = False
+    """Boolean mask of nondominated rows of a minimize-oriented (k,n) array.
+
+    Rows are compared against all k rows a block at a time. The comparison
+    is laid out (n, rows, k) on the columns of ``arr``, so each objective is
+    one contiguous slab and the reductions over objectives combine whole
+    slabs; each block's flags take about ``PARETO_BLOCK_BYTES``.
+    """
+    k, n = arr.shape
+    cols = np.ascontiguousarray(arr.T)
+    others = cols[:, None, :]
+    keep = np.empty(k, dtype=bool)
+    step = max(1, PARETO_BLOCK_BYTES // max(1, k * n))
+    for start in range(0, k, step):
+        rows = cols[:, start : start + step, None]
+        # rows j that dominate row i: <= everywhere and < somewhere
+        leq = (others <= rows).all(axis=0)
+        lt = (others < rows).any(axis=0)
+        keep[start : start + step] = ~(leq & lt).any(axis=1)
     return keep
 
 
@@ -244,20 +256,24 @@ def hypervolume_mc(
     rng = np.random.default_rng(seed)
     # Blocks drawn in order consume the stream exactly as one draw of all
     # samples would, so the estimate does not depend on the block size.
-    # Each block is drawn into one reused buffer as ``ideal + (ref - ideal) *
-    # U``, the arithmetic of ``rng.uniform``, so the bits are the same too.
+    # Each block is drawn row-major into one reused buffer and scaled into a
+    # reused (n, B) column buffer as ``ideal + (ref - ideal) * U``, the
+    # arithmetic of ``rng.uniform``, so the bits are the same too. The
+    # counter gets the columns' transposed view and copies nothing.
     block = max(1, MC_BLOCK_VALUES // ref.size)
-    buf = np.empty((min(block, samples), ref.size))
-    side = ref - ideal
+    rows = np.empty((min(block, samples), ref.size))
+    cols = np.empty(rows.size)
+    side = (ref - ideal)[:, None]
     # a dominated point's box lies inside its dominator's: it adds no hit
     front = pts[_pareto_mask(pts)]
     hits = 0
     for start in range(0, samples, block):
-        draw = buf[: min(block, samples - start)]
+        draw = rows[: min(block, samples - start)]
         rng.random(out=draw)
-        draw *= side
-        draw += ideal
-        hits += kernels.count_dominated(draw, front)
+        col = cols[: draw.size].reshape(ref.size, -1)
+        np.multiply(draw.T, side, out=col)
+        col += ideal[:, None]
+        hits += kernels.count_dominated(col.T, front)
     frac = hits / samples
     est = frac * box_vol
     stderr = box_vol * float(np.sqrt(frac * (1.0 - frac) / samples))

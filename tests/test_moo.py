@@ -7,6 +7,7 @@ from hvgan.moo import (
     MAX_HV_DIM,
     MAX_HV_POINTS,
     MC_BLOCK_VALUES,
+    PARETO_BLOCK_BYTES,
     Orientation,
     PointSet,
     hypervolume_exact,
@@ -149,12 +150,19 @@ class TestParetoFilter:
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            k = int(rng.integers(1, 10))
-            n = int(rng.integers(2, 5))
-            rows = [tuple(rng.integers(0, 5, size=n).tolist()) for _ in range(k)]
+        sets = [rng.integers(0, 5, size=(int(rng.integers(1, 10)), int(rng.integers(2, 5))))
+                for _ in range(100)]
+        # ties and duplicates across several row blocks of the mask, the last
+        # one partial
+        grid = rng.integers(0, 6, size=(300, 3))
+        assert 2 * (PARETO_BLOCK_BYTES // grid.size) < len(grid)
+        sets.append(grid)
+        # edge shapes: no point, one point, one objective
+        sets += [np.zeros((0, 3)), np.array([[2, 1, 3]]), rng.integers(0, 4, size=(40, 1))]
+        for arr in sets:
+            rows = [tuple(r) for r in arr.tolist()]
             expect = [rows[i] for i in pareto_brute(rows)]
-            got = pareto_filter(pset(rows)).values.tolist()
+            got = pareto_filter(PointSet(arr, MIN)).values.tolist()
             assert got == [[float(v) for v in r] for r in expect]
 
     def test_maximize_matches_negated_minimize(self):
@@ -373,7 +381,7 @@ class TestHypervolumeMC:
         est, stderr = hypervolume_mc(pset([(1, 1)], MAX), (0, 0), 10**5, seed=4)
         assert est == 1.0 and stderr == 0.0
 
-    @pytest.mark.parametrize("dim", [3, 6])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("extra", [-1, 0, 1, "2B+3"])
     def test_blocks_give_the_estimate_of_one_draw(self, dim, extra):
         block = MC_BLOCK_VALUES // dim
@@ -382,6 +390,13 @@ class TestHypervolumeMC:
         ref = np.full(dim, 1.0)
         got = hypervolume_mc(pset(pts), ref, samples, seed=17)
         assert got == hypervolume_mc_one_draw(pts, ref, samples, seed=17)
+
+    def test_maximize_blocks_give_the_estimate_of_one_draw(self):
+        samples = 2 * (MC_BLOCK_VALUES // 4) + 3
+        pts = np.random.default_rng(42).uniform(1.0, 3.0, size=(8, 4))
+        ref = np.array([0.5, 1.0, 0.0, 0.75])
+        got = hypervolume_mc(pset(pts, MAX), ref, samples, seed=23)
+        assert got == hypervolume_mc_one_draw(-pts, -ref, samples, seed=23)
 
     def test_pinned_bits_with_dominated_and_duplicate_points(self):
         # 10 nondominated points, 4 dominated ones and 3 duplicates in 6

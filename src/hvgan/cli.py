@@ -4,7 +4,12 @@ Exit codes: 0 success, 1 validation or precondition failure or a request for
 more memory than the machine has, 2 I/O failure, 141 (128 + SIGPIPE, the
 status a shell gives a writer that the pipe signal ended) when the reader of
 stdout closed it early, as in ``hvgan pareto front.csv | head -1``; that case
-prints nothing on stderr.
+prints nothing on stderr. 130 (128 + SIGINT) when the command was interrupted,
+as by Ctrl-C; that case prints one line on stderr.
+The training code (``model``, ``autodiff``, ``losses``, ``scalarize``) is
+imported by the commands that run it: ``train`` and ``compare`` load it all,
+``gradcheck`` loads ``autodiff``. ``hv``, ``pareto``, ``eval`` and ``synth``
+start without it.
 Every command is deterministic given its inputs; wall-clock timestamps appear
 only inside run manifests.
 """
@@ -14,17 +19,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import hashlib
 import json
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, model
-from .autodiff import gradcheck_suite
+from . import __version__
 from .data_io import (
     SCALE,
     ImageBuffer,
@@ -36,19 +39,23 @@ from .data_io import (
 )
 from .metrics import SSIM_WINDOW, gmsd, psnr, ssim
 from .moo import Orientation, hypervolume_exact, hypervolume_mc, pareto_filter
-from .scalarize import scalarize
 from .synth import write_corpus
+
+if TYPE_CHECKING:
+    from . import model
 
 GRADCHECK_GATE = 1e-4
 
 EXIT_BROKEN_PIPE = 141
+EXIT_INTERRUPTED = 130
 
 _ORIENTATIONS = {"min": Orientation.MINIMIZE, "max": Orientation.MAXIMIZE}
 
 COMPARE_MODES = ("linear", "hv_log", "hv_log_norm")
 
 PRETRAIN_HEADER = "iter,l_pix"
-HISTORY_HEADER = ",".join(model.HistoryRow._fields)
+# the fields of model.HistoryRow, spelled out so that cli need not import model
+HISTORY_HEADER = "iter,l_gan,l_pix,l_fea,scalar,w_gan,w_pix,w_fea,clamped,lr"
 RESULTS_HEADER = "mode,psnr,ssim,gmsd,clamp_events"
 
 
@@ -64,6 +71,8 @@ def _fmt_point(v: float) -> str:
 
 
 def _utc_now() -> str:
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).isoformat()
 
 
@@ -71,6 +80,8 @@ def _read_config(path) -> tuple[model.TrainConfig, str]:
     """The parsed config and its raw text, which the manifest keeps verbatim
     without a leading UTF-8 byte-order mark. Text that is not UTF-8, not
     JSON, or nested too deep for the parser is rejected by path."""
+    from . import model
+
     try:
         raw_text = Path(path).read_text(encoding="utf-8-sig")
         raw = json.loads(raw_text)
@@ -170,6 +181,8 @@ def _load_corpus(config: model.TrainConfig) -> list[ImageBuffer]:
     """The training corpus; a ``patch_size`` that is not a multiple of 4 or
     does not fit in one of its images fails here, before any output is
     written."""
+    from . import model
+
     images = model.load_corpus(config.dataset)
     ps = config.patch_size
     if ps % SCALE:
@@ -199,6 +212,8 @@ def _output_dir(out: Path):
 
 
 def cmd_train(args) -> int:
+    from . import model
+
     config, raw_text = _read_config(args.config)
     started = _utc_now()
     images = _load_corpus(config)
@@ -250,6 +265,8 @@ def _load_eval_pairs(paths, channels: int) -> list[tuple[ImageBuffer, ImageBuffe
 
 def _evaluate_generator(g: model.GeneratorNet, eval_pairs) -> tuple[float, float, float]:
     """Average metrics of x4 SR reconstructions against the originals."""
+    from . import model
+
     psnrs, ssims, gmsds = [], [], []
     for img, lr in eval_pairs:
         sr = model.apply_generator(g, lr)
@@ -260,6 +277,11 @@ def _evaluate_generator(g: model.GeneratorNet, eval_pairs) -> tuple[float, float
 
 
 def cmd_compare(args) -> int:
+    import hashlib
+
+    from . import model
+    from .scalarize import scalarize
+
     config, raw_text = _read_config(args.config)
     if not config.eval_list:
         raise ValueError("compare requires a nonempty eval_list in the config")
@@ -321,6 +343,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from .autodiff import gradcheck_suite
+
     results = gradcheck_suite()
     failures = []
     for name, err in results:
@@ -425,6 +449,9 @@ def main(argv=None) -> int:
         # stdout goes to devnull, so the flush at shutdown cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except (ValueError, FloatingPointError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

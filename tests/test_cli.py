@@ -369,16 +369,26 @@ def _train_config(tmp_path, sub="run", **over):
 _OOM = "Unable to allocate 2.98 TiB for an array"
 
 
-def _oom_config(tmp_path, monkeypatch, phase, **over):
-    """A train/compare config whose ``model.<phase>`` raises ``MemoryError``."""
+def _failing_config(tmp_path, monkeypatch, phase, error=MemoryError(_OOM), **over):
+    """A train/compare config whose ``model.<phase>`` raises ``error``, by
+    default an allocation failure."""
     eval_img = tmp_path / "eval.pgm"
     save_image(ImageBuffer(np.full((1, 16, 16), 0.5)), eval_img)
 
     def fail(*args):
-        raise MemoryError(_OOM)
+        raise error
 
     monkeypatch.setattr(model, phase, fail)
     return _train_config(tmp_path, "run", eval_list=[str(eval_img)], **over)
+
+
+def _interrupted_main(argv):
+    """``cli.main(argv)`` where the command is interrupted; an interrupt that
+    escapes fails this test instead of stopping the whole run."""
+    try:
+        return cli.main(argv)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped cli.main")
 
 
 class TestTrain:
@@ -467,17 +477,30 @@ class TestTrain:
     def test_failed_run_removes_the_empty_output_dir_it_made(
         self, tmp_path, monkeypatch, capsys, command
     ):
-        cfg_path, _ = _oom_config(tmp_path, monkeypatch, "pretrain")
+        cfg_path, _ = _failing_config(tmp_path, monkeypatch, "pretrain")
         before = sorted(tmp_path.iterdir())
         assert cli.main([command, "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"error: {_OOM}\n"
         assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_interrupted_run_removes_the_empty_output_dir_it_made(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        cfg_path, _ = _failing_config(
+            tmp_path, monkeypatch, "pretrain", KeyboardInterrupt()
+        )
+        before = sorted(tmp_path.iterdir())
+        code = _interrupted_main([command, "--config", str(cfg_path)])
+        assert code == cli.EXIT_INTERRUPTED
+        assert capsys.readouterr() == ("", "interrupted\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
     def test_failed_run_keeps_only_the_parents_it_made(
         self, tmp_path, monkeypatch, command
     ):
-        cfg_path, _ = _oom_config(
+        cfg_path, _ = _failing_config(
             tmp_path, monkeypatch, "pretrain", output_dir=str(tmp_path / "a" / "b")
         )
         assert cli.main([command, "--config", str(cfg_path)]) == 1
@@ -488,7 +511,7 @@ class TestTrain:
     def test_failed_run_keeps_an_output_dir_that_existed(
         self, tmp_path, monkeypatch, command
     ):
-        cfg_path, cfg = _oom_config(tmp_path, monkeypatch, "pretrain")
+        cfg_path, cfg = _failing_config(tmp_path, monkeypatch, "pretrain")
         Path(cfg["output_dir"]).mkdir()
         assert cli.main([command, "--config", str(cfg_path)]) == 1
         assert list(Path(cfg["output_dir"]).iterdir()) == []
@@ -496,7 +519,7 @@ class TestTrain:
     def test_compare_adversarial_failure_keeps_the_pretraining_artifacts(
         self, tmp_path, monkeypatch
     ):
-        cfg_path, cfg = _oom_config(tmp_path, monkeypatch, "adversarial_phase")
+        cfg_path, cfg = _failing_config(tmp_path, monkeypatch, "adversarial_phase")
         assert cli.main(["compare", "--config", str(cfg_path)]) == 1
         kept = sorted(p.name for p in Path(cfg["output_dir"]).iterdir())
         assert kept == ["pretrain.csv", "pretrained.hvgn"]
@@ -787,6 +810,10 @@ CLAMPING = dict(adversarial="standard", norm_p=2, feature_tap="pre", mu=[1, 0.05
 HISTORY_COLUMNS = cli.HISTORY_HEADER.split(",")
 
 
+def test_history_header_names_the_history_row_fields():
+    assert cli.HISTORY_HEADER == ",".join(model.HistoryRow._fields)
+
+
 def _history(path):
     return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
@@ -957,6 +984,66 @@ class TestOutOfMemory:
         assert err == "error: Unable to allocate 146. TiB for an array\n"
         if command == "hv":
             assert out == ""
+
+
+class TestInterrupt:
+    def test_interrupted_hv_prints_one_line_and_exits_130(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "hypervolume_mc", interrupt)
+        pts = tmp_path / "g.csv"
+        pts.write_text("1,2\n2,1\n")
+        argv = ["hv", str(pts), "--ref", "3,3", "--mc", "100000000000"]
+        assert _interrupted_main(argv) == cli.EXIT_INTERRUPTED == 130
+        assert capsys.readouterr() == ("", "interrupted\n")
+
+
+TRAINING_MODULES = ("hvgan.autodiff", "hvgan.losses", "hvgan.model", "hvgan.scalarize")
+
+# Runs cli.main on each argv of the JSON list in sys.argv[1], then prints the
+# training modules the interpreter has loaded as its last stdout line.
+_IMPORT_PROBE = (
+    "import json, sys\n"
+    "from hvgan.cli import main\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    assert main(argv) == 0, argv\n"
+    f"print(json.dumps(sorted(set({TRAINING_MODULES!r}) & set(sys.modules))))\n"
+)
+
+
+class TestImportBoundary:
+    """Each command imports only what it runs: the multi-objective and image
+    commands start without compiling the training code."""
+
+    def _loaded(self, *argvs):
+        env = {**os.environ, "PYTHONPATH": str(Path(hvgan.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+    def test_utility_commands_leave_the_training_code_unloaded(self, tmp_path):
+        pts = tmp_path / "p.csv"
+        pts.write_text("1,2\n2,1\n")
+        img = tmp_path / "a.pgm"
+        save_image(ImageBuffer(np.full((1, 16, 16), 0.5)), img)
+        assert self._loaded(
+            ["hv", str(pts), "--ref", "3,3", "--mc", "100"],
+            ["pareto", str(pts)],
+            ["eval", "--ref", str(img), "--test", str(img)],
+            ["synth", "--out", str(tmp_path / "c"), "--count", "1", "--size", "16"],
+        ) == ()
+
+    def test_zero_iteration_train_loads_it(self, tmp_path):
+        cfg_path, _ = _train_config(
+            tmp_path, "zero", pretrain_iters=0, adversarial_iters=0
+        )
+        assert self._loaded(["train", "--config", str(cfg_path)]) == TRAINING_MODULES
 
 
 class TestMisc:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -54,8 +53,6 @@ _ORIENTATIONS = {"min": Orientation.MINIMIZE, "max": Orientation.MAXIMIZE}
 COMPARE_MODES = ("linear", "hv_log", "hv_log_norm")
 
 PRETRAIN_HEADER = "iter,l_pix"
-# the fields of model.HistoryRow, spelled out so that cli need not import model
-HISTORY_HEADER = "iter,l_gan,l_pix,l_fea,scalar,w_gan,w_pix,w_fea,clamped,lr"
 RESULTS_HEADER = "mode,psnr,ssim,gmsd,clamp_events"
 
 
@@ -80,6 +77,8 @@ def _read_config(path) -> tuple[model.TrainConfig, str]:
     """The parsed config and its raw text, which the manifest keeps verbatim
     without a leading UTF-8 byte-order mark. Text that is not UTF-8, not
     JSON, or nested too deep for the parser is rejected by path."""
+    import json
+
     from . import model
 
     try:
@@ -91,17 +90,20 @@ def _read_config(path) -> tuple[model.TrainConfig, str]:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    """Atomically write ``header``, then one line per row. Integers (Python
-    or numpy) and strings print through ``str``, every other value as
-    ``repr(float(v))``, the shortest text that reads back to the same
-    double."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(
-            str(v) if isinstance(v, (int, np.integer, str)) else repr(float(v))
-            for v in row
-        ))
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    """Atomically write ``header``, then one line per row, each line flushed
+    as ``rows`` yields its row. Integers (Python or numpy) and strings print
+    through ``str``, every other value as ``repr(float(v))``, the shortest
+    text that reads back to the same double."""
+
+    def lines():
+        yield header
+        for row in rows:
+            yield ",".join(
+                str(v) if isinstance(v, (int, np.integer, str)) else repr(float(v))
+                for v in row
+            )
+
+    write_atomic(path, (f"{line}\n".encode("utf-8") for line in lines()))
 
 
 def _write_manifest(
@@ -109,6 +111,8 @@ def _write_manifest(
 ) -> None:
     """Atomically write ``out/manifest.json``: the common run keys, then the
     command's own keys in ``tail`` (which ends with ``outputs``)."""
+    import json
+
     payload = {
         "artifact_version": __version__,
         "seed": config.seed,
@@ -118,7 +122,7 @@ def _write_manifest(
         **tail,
     }
     write_atomic(
-        out / "manifest.json", (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        out / "manifest.json", [(json.dumps(payload, indent=2) + "\n").encode("utf-8")]
     )
 
 
@@ -226,9 +230,8 @@ def cmd_train(args) -> int:
 
         history_path = out / "history.csv"
         checkpoint_path = out / "checkpoint.hvgn"
-        _write_csv(
-            history_path, HISTORY_HEADER, model.adversarial_phase(g, d, images, config)
-        )
+        history = model.adversarial_phase(g, d, images, config)
+        _write_csv(history_path, ",".join(model.HistoryRow._fields), history)
         model.save_checkpoint(checkpoint_path, g.params() + d.params())
         outputs = [str(pretrain_path), str(history_path), str(checkpoint_path)]
         _write_manifest(out, config, raw_text, started, {"outputs": outputs})
@@ -325,7 +328,7 @@ def cmd_compare(args) -> int:
                 metrics = _evaluate_generator(g, eval_pairs)
             history_path = out / mode_name / "history.csv"
             history_path.parent.mkdir(exist_ok=True)
-            _write_csv(history_path, HISTORY_HEADER, history)
+            _write_csv(history_path, ",".join(model.HistoryRow._fields), history)
             outputs.append(str(history_path))
             clamp_events = sum(r.clamped for r in history)
             rows.append((mode_name, *metrics, clamp_events))

@@ -1,5 +1,5 @@
 """Image ingestion, bicubic downscaling, patch extraction, CSV readers, and
-atomic file writes.
+``write_atomic``, which streams every artifact file through ``<name>.tmp``.
 
 Images live as planar (C,H,W) float64 buffers with values in [0,1]. On disk
 the package speaks binary PGM (P5, single channel) and PPM (P6, three
@@ -153,17 +153,21 @@ def save_image(img: ImageBuffer, path) -> None:
     else:
         magic, payload = b"P6", q.transpose(1, 2, 0).tobytes()
     header = magic + f"\n{img.width} {img.height}\n255\n".encode("ascii")
-    write_atomic(path, header + payload)
+    write_atomic(path, [header + payload])
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to ``<path>.tmp``, then rename it over ``path``, so
-    ``path`` holds either its old bytes or all of the new ones. A failed
-    write or rename removes the temporary file and re-raises."""
+def write_atomic(path, chunks) -> None:
+    """Write and flush each bytes-like chunk of ``chunks`` into ``<path>.tmp``
+    as it arrives, then rename it over ``path``: ``path`` holds its old bytes
+    or all the new ones. A failed write or rename, or an error raised while
+    producing the chunks, removes the temporary file and re-raises."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+                f.flush()
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -279,7 +279,7 @@ def save_checkpoint(path, params: Sequence[ad.Parameter]) -> None:
         for extent in p.data.shape:
             buf += struct.pack("<Q", extent)
         buf += np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-    write_atomic(path, bytes(buf))
+    write_atomic(path, [buf])
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

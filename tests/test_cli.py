@@ -1,3 +1,4 @@
+import ast
 import ctypes
 import hashlib
 import json
@@ -473,6 +474,34 @@ class TestTrain:
         assert all(math.isfinite(float(line.split(",")[1])) for line in lines[1:])
         assert sorted(p.name for p in out.iterdir()) == ["pretrain.csv"]
 
+    def test_history_rows_reach_the_disk_as_each_iteration_ends(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cfg_path, _ = _train_config(tmp_path, "stream", adversarial_iters=3)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "stream"
+        old = (out / "history.csv").read_bytes()
+        old_lines = old.decode().splitlines()
+        tmp = out / "history.csv.tmp"
+        real_phase = model.adversarial_phase
+
+        def phase(*args):
+            for k, row in enumerate(real_phase(*args), start=1):
+                if k == 3:
+                    raise FloatingPointError("non-finite values produced by op 'conv2d'")
+                yield row
+                # resumed for row k + 1: row k is already in the file
+                assert tmp.read_text().splitlines() == old_lines[: 1 + k]
+
+        monkeypatch.setattr(model, "adversarial_phase", phase)
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: non-finite values produced by op 'conv2d'\n"
+        )
+        assert not tmp.exists()
+        assert len((out / "pretrain.csv").read_text().splitlines()) == 1 + 2
+        assert (out / "history.csv").read_bytes() == old
+
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_failed_run_removes_the_empty_output_dir_it_made(
         self, tmp_path, monkeypatch, capsys, command
@@ -807,11 +836,7 @@ class TestCompare:
 
 # Small bounds under the standard loss: the hypervolume gaps clamp at eps.
 CLAMPING = dict(adversarial="standard", norm_p=2, feature_tap="pre", mu=[1, 0.05, 0.5])
-HISTORY_COLUMNS = cli.HISTORY_HEADER.split(",")
-
-
-def test_history_header_names_the_history_row_fields():
-    assert cli.HISTORY_HEADER == ",".join(model.HistoryRow._fields)
+HISTORY_COLUMNS = model.HistoryRow._fields
 
 
 def _history(path):
@@ -1002,30 +1027,34 @@ class TestInterrupt:
 
 
 TRAINING_MODULES = ("hvgan.autodiff", "hvgan.losses", "hvgan.model", "hvgan.scalarize")
+# only train and compare read a config and write a manifest
+RUN_MODULES = (*TRAINING_MODULES, "json")
 
-# Runs cli.main on each argv of the JSON list in sys.argv[1], then prints the
-# training modules the interpreter has loaded as its last stdout line.
+# Runs cli.main on each argv of the list literal in sys.argv[1], then prints
+# which of RUN_MODULES the interpreter has loaded as its last stdout line.
+# It reads and prints through ast and repr, so that the probe itself does not
+# load json.
 _IMPORT_PROBE = (
-    "import json, sys\n"
+    "import ast, sys\n"
     "from hvgan.cli import main\n"
-    "for argv in json.loads(sys.argv[1]):\n"
+    "for argv in ast.literal_eval(sys.argv[1]):\n"
     "    assert main(argv) == 0, argv\n"
-    f"print(json.dumps(sorted(set({TRAINING_MODULES!r}) & set(sys.modules))))\n"
+    f"print(repr(sorted(set({RUN_MODULES!r}) & set(sys.modules))))\n"
 )
 
 
 class TestImportBoundary:
     """Each command imports only what it runs: the multi-objective and image
-    commands start without compiling the training code."""
+    commands start without compiling the training code or loading json."""
 
     def _loaded(self, *argvs):
         env = {**os.environ, "PYTHONPATH": str(Path(hvgan.__file__).parents[1])}
         proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+            [sys.executable, "-c", _IMPORT_PROBE, repr(argvs)],
             env=env, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        return tuple(json.loads(proc.stdout.splitlines()[-1]))
+        return tuple(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
     def test_utility_commands_leave_the_training_code_unloaded(self, tmp_path):
         pts = tmp_path / "p.csv"
@@ -1043,7 +1072,7 @@ class TestImportBoundary:
         cfg_path, _ = _train_config(
             tmp_path, "zero", pretrain_iters=0, adversarial_iters=0
         )
-        assert self._loaded(["train", "--config", str(cfg_path)]) == TRAINING_MODULES
+        assert self._loaded(["train", "--config", str(cfg_path)]) == RUN_MODULES
 
 
 class TestMisc:

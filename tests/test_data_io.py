@@ -12,6 +12,7 @@ from hvgan.data_io import (
     random_patch_pair,
     read_points_csv,
     save_image,
+    write_atomic,
 )
 from hvgan.moo import Orientation
 
@@ -157,6 +158,29 @@ class TestPgmPpm:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_image(tmp_path / "absent.pgm")
+
+
+class TestWriteAtomic:
+    def test_chunks_arrive_concatenated(self, tmp_path):
+        path = tmp_path / "out.bin"
+        write_atomic(path, iter([b"ab", bytearray(b"cd"), b"", b"e"]))
+        assert path.read_bytes() == b"abcde"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_producer_that_raises_midway_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+
+        def chunks():
+            yield b"new"
+            # each chunk is flushed before the next one is asked for
+            assert (tmp_path / "out.bin.tmp").read_bytes() == b"new"
+            raise FloatingPointError("non-finite values produced by op 'conv2d'")
+
+        with pytest.raises(FloatingPointError, match="conv2d"):
+            write_atomic(path, chunks())
+        assert path.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 def _pgm_bytes(tmp_path, blob):

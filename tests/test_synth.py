@@ -1,8 +1,10 @@
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hvgan import data_io
 from hvgan.data_io import load_image
 from hvgan.synth import make_corpus, make_image, write_corpus
 
@@ -63,12 +65,13 @@ class TestCorpus:
             assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
     def test_an_interrupted_write_leaves_no_partial_image(self, tmp_path, monkeypatch):
-        def half_then_fail(path, data):
-            with open(path, "wb") as f:
-                f.write(data[: len(data) // 2])
-            raise OSError("disk full")
+        class HalfThenFail(io.FileIO):
+            def write(self, data):
+                super().write(data[: len(data) // 2])
+                raise OSError("disk full")
 
-        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        # data_io.write_atomic opens the temporary file through this name
+        monkeypatch.setattr(data_io, "open", HalfThenFail, raising=False)
         with pytest.raises(OSError, match="disk full"):
             write_corpus(tmp_path, seed=0, count=2, size=16)
         assert list(tmp_path.iterdir()) == []

@@ -11,13 +11,15 @@ its module (``from hvgan.moo import pareto_filter``).
 
 import os
 
-# BLAS runs on one thread unless the user sets these variables. The matrices
-# here are small, and OpenBLAS's default pool made an adversarial step about
-# 10x slower when other processes competed for the cores. The variables are
-# read when numpy loads BLAS, so this must run before numpy is imported.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-del _var
+# BLAS runs on one thread unless the user sets these variables, or sets
+# OMP_NUM_THREADS, which OpenBLAS and MKL fall back to. The matrices here are
+# small, and OpenBLAS's default pool made an adversarial step about 10x slower
+# when other processes competed for the cores. The variables are read when
+# numpy loads BLAS, so this must run before numpy is imported.
+if "OMP_NUM_THREADS" not in os.environ:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+    del _var
 
 
 # Under glibc, buffers below 32 MiB come from the heap and up to 256 MiB of

@@ -37,7 +37,7 @@ from .data_io import (
     write_atomic,
 )
 from .metrics import SSIM_WINDOW, gmsd, psnr, ssim
-from .moo import Orientation, hypervolume_exact, hypervolume_mc, pareto_filter
+from .moo import Orientation, PointSet, hypervolume_exact, hypervolume_mc, pareto_filter
 from .synth import write_corpus
 
 if TYPE_CHECKING:
@@ -146,7 +146,7 @@ def _parse_ref(text: str) -> list[float]:
 def cmd_hv(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed: must be a non-negative integer, got {args.seed}")
-    points = read_points_csv(args.points, _ORIENTATIONS[args.orient])
+    points = PointSet(read_points_csv(args.points), _ORIENTATIONS[args.orient])
     ref = _parse_ref(args.ref)
     # Both results are computed before either prints, so a failing
     # command leaves nothing on stdout.
@@ -159,7 +159,7 @@ def cmd_hv(args) -> int:
 
 
 def cmd_pareto(args) -> int:
-    points = read_points_csv(args.points, _ORIENTATIONS[args.orient])
+    points = PointSet(read_points_csv(args.points), _ORIENTATIONS[args.orient])
     for row in pareto_filter(points).values.tolist():
         print(",".join(_fmt_point(v) for v in row))
     return 0

@@ -1,5 +1,7 @@
-"""Image ingestion, bicubic downscaling, patch extraction, CSV readers, and
-``write_atomic``, which streams every artifact file through ``<name>.tmp``.
+"""Image ingestion, bicubic downscaling, patch extraction, the points CSV
+reader (rows as one float64 array: this module imports nothing from the
+package), and ``write_atomic``, which streams every artifact file through
+``<name>.tmp``.
 
 Images live as planar (C,H,W) float64 buffers with values in [0,1]. On disk
 the package speaks binary PGM (P5, single channel) and PPM (P6, three
@@ -24,8 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .moo import Orientation, PointSet
 
 __all__ = [
     "SCALE",
@@ -280,10 +280,10 @@ def parse_number(text: str) -> float:
     return float(text)
 
 
-def read_points_csv(path, orientation: Orientation) -> PointSet:
-    """Headerless UTF-8 CSV of finite objective vectors, one per line, with
-    or without a byte-order mark; errors name the file, and the line where
-    there is one."""
+def read_points_csv(path) -> np.ndarray:
+    """Headerless UTF-8 CSV of finite objective vectors, one per line, with or
+    without a byte-order mark, as a float64 ``(k, n)`` array, ``(0, 0)`` if it
+    has no rows; errors name the file, and the line where there is one."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
@@ -313,4 +313,4 @@ def read_points_csv(path, orientation: Orientation) -> PointSet:
                 f"{path}: line {lineno}: expected {width} fields, got {len(values)}"
             )
         rows.append(values)
-    return PointSet.from_rows(rows, orientation)
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)

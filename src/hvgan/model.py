@@ -423,12 +423,13 @@ class TrainConfig:
                 f"{self.baseline_weights!r}"
             )
         object.__setattr__(self, "baseline_weights", bw)
-        for key in ("dataset", "output_dir"):
-            if not isinstance(getattr(self, key), (str, os.PathLike)):
-                raise ValueError(f"{key} must be a path, got {getattr(self, key)!r}")
+        # an empty path would be Path(""), the working directory
+        for key, value in (("dataset", self.dataset), ("output_dir", self.output_dir)):
+            if not isinstance(value, (str, os.PathLike)) or value == "":
+                raise ValueError(f"{key} must be a path, got {value!r}")
         if not (
             isinstance(self.eval_list, (list, tuple))
-            and all(isinstance(p, (str, os.PathLike)) for p in self.eval_list)
+            and all(isinstance(p, (str, os.PathLike)) and p != "" for p in self.eval_list)
         ):
             raise ValueError(f"eval_list must be a list of paths, got {self.eval_list!r}")
         object.__setattr__(self, "eval_list", tuple(str(p) for p in self.eval_list))
@@ -602,6 +603,8 @@ def adversarial_phase(
     frozen feature extractor is drawn from stream ``[seed, 3]``. Yields one
     ``HistoryRow`` as each iteration ends; floating-point warnings are off
     for the iteration's work only, not for the caller's code between rows."""
+    if not images:
+        raise ValueError("adversarial_phase: empty dataset")
     rng = np.random.default_rng([config.seed, 2])
     extractor = FeatureExtractor(
         images[0].channels, [config.seed, 3], config.feature_tap
@@ -628,6 +631,8 @@ def adversarial_phase(
 def pretrain(config: TrainConfig, images: Sequence[ImageBuffer]):
     """Everything before the adversarial phase on the loaded corpus: build
     G and D, and pretrain G. Returns (g, d, pretrain rows)."""
+    if not images:
+        raise ValueError("pretrain: empty dataset")
     g, d = init_networks(
         config.seed, images[0].channels, config.gen_width, config.disc_width
     )

@@ -26,7 +26,6 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,7 +66,10 @@ class PointSet:
     orientation: Orientation
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
+        try:
+            arr = np.array(self.values, dtype=np.float64)
+        except ValueError as e:
+            raise ValueError(f"PointSet: {e}") from None
         if arr.size == 0 and arr.ndim < 2:
             arr = arr.reshape(0, 0)
         if arr.ndim != 2:
@@ -84,16 +86,6 @@ class PointSet:
             raise ValueError(f"orientation must be an Orientation, got {self.orientation!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[float]], orientation: Orientation) -> "PointSet":
-        rows = [tuple(r) for r in rows]
-        for i, r in enumerate(rows):
-            if len(r) != len(rows[0]):
-                raise ValueError(
-                    f"PointSet: point {i} has length {len(r)}, expected {len(rows[0])}"
-                )
-        return cls(rows, orientation)
 
     def minimized(self) -> np.ndarray:
         """The values with Maximize data negated: smaller is better everywhere."""

@@ -54,7 +54,7 @@ def test_hypervolume_oracle_equivalence(capsys):
         rng = np.random.default_rng([1000, case])
         n = int(rng.choice([2, 3]))
         k = int(rng.integers(2, 9))
-        pts = PointSet.from_rows(rng.uniform(size=(k, n)), Orientation.MINIMIZE)
+        pts = PointSet(rng.uniform(size=(k, n)), Orientation.MINIMIZE)
         ref = np.ones(n)
         exact = hypervolume_exact(pts, ref)
         est, stderr = hypervolume_mc(pts, ref, 10**6, seed=[2000, case])
@@ -77,7 +77,7 @@ def test_scalarization_volume_identity(capsys):
     for _ in range(1000):
         n = int(rng.integers(1, 5))
         l, mu = _random_unclamped(rng, n)
-        hv = hypervolume_exact(PointSet.from_rows([l], Orientation.MINIMIZE), mu)
+        hv = hypervolume_exact(PointSet([l], Orientation.MINIMIZE), mu)
         worst = max(worst, abs(math.exp(-scalarize(l, "hv_log", mu)) - hv) / hv)
     _report(
         capsys,

@@ -39,7 +39,7 @@ class TestBlasThreads:
     def _threads_after_import(self, **overrides):
         env = {k: v for k, v in os.environ.items() if k not in self.VARS}
         env.update(overrides)
-        code = f"import os, hvgan; print([os.environ[v] for v in {self.VARS!r}])"
+        code = f"import os, hvgan; print([os.environ.get(v) for v in {self.VARS!r}])"
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -51,6 +51,11 @@ class TestBlasThreads:
     def test_user_setting_wins(self):
         got = self._threads_after_import(OPENBLAS_NUM_THREADS="3")
         assert got == "['3', '1', '1']"
+
+    def test_exported_omp_setting_reaches_openblas_and_mkl(self):
+        # both fall back to OMP_NUM_THREADS when their own variable is unset
+        got = self._threads_after_import(OMP_NUM_THREADS="2")
+        assert got == "[None, '2', None]"
 
 
 def _libc_is_glibc():
@@ -590,6 +595,20 @@ class TestTrain:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: lr ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("key", ["dataset", "output_dir"])
+    def test_empty_path_is_rejected_and_nothing_written(self, tmp_path, monkeypatch, key):
+        cfg_path, cfg = _train_config(tmp_path, "empty")
+        cfg[key] = ""
+        cfg_path.write_text(json.dumps(cfg))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        before = sorted(tmp_path.rglob("*"))
+        proc = run_cli("train", "--config", str(cfg_path))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {key} must be a path, got ''\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_missing_dataset_is_io_error(self, tmp_path):
         cfg_path, cfg = _train_config(tmp_path, "nods")

@@ -14,7 +14,6 @@ from hvgan.data_io import (
     save_image,
     write_atomic,
 )
-from hvgan.moo import Orientation
 
 from oracles import nearest_upscale_reference
 
@@ -376,30 +375,30 @@ class TestPointsCsv:
     def test_two_rows(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("1,2\n2,1\n")
-        ps = read_points_csv(path, Orientation.MINIMIZE)
-        assert ps.values.tolist() == [[1.0, 2.0], [2.0, 1.0]]
+        ps = read_points_csv(path)
+        assert ps.tolist() == [[1.0, 2.0], [2.0, 1.0]]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("")
-        assert len(read_points_csv(path, Orientation.MINIMIZE)) == 0
+        assert len(read_points_csv(path)) == 0
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("1,2\n\n2,1\n\n")
-        assert len(read_points_csv(path, Orientation.MINIMIZE)) == 2
+        assert len(read_points_csv(path)) == 2
 
     def test_ragged_row_names_the_line(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("1,2\n3\n")
         with pytest.raises(ValueError, match="line 2"):
-            read_points_csv(path, Orientation.MINIMIZE)
+            read_points_csv(path)
 
     def test_non_numeric_field_names_the_line(self, tmp_path):
         path = tmp_path / "n.csv"
         path.write_text("1,2\n1,x\n")
         with pytest.raises(ValueError, match="line 2.*'x'"):
-            read_points_csv(path, Orientation.MINIMIZE)
+            read_points_csv(path)
 
     @pytest.mark.parametrize("tok", ["1_0", "\u0661", " 2_5 "],
                              ids=["digit_separator", "arabic_indic_one", "padded_separator"])
@@ -407,25 +406,25 @@ class TestPointsCsv:
         path = tmp_path / "n.csv"
         path.write_text(f"1,2\n{tok},1\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"line 2: non-numeric field '{tok.strip()}'"):
-            read_points_csv(path, Orientation.MINIMIZE)
+            read_points_csv(path)
 
     def test_surrounding_spaces_are_accepted(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text(" 1 ,\t2\n")
-        assert read_points_csv(path, Orientation.MINIMIZE).values.tolist() == [[1.0, 2.0]]
+        assert read_points_csv(path).tolist() == [[1.0, 2.0]]
 
     @pytest.mark.parametrize("tok", ["nan", "inf", "-inf"])
     def test_non_finite_field_names_the_line(self, tmp_path, tok):
         path = tmp_path / "f.csv"
         path.write_text(f"1,2\n{tok},1\n")
         with pytest.raises(ValueError, match=f"line 2: non-finite field '{tok}'"):
-            read_points_csv(path, Orientation.MINIMIZE)
+            read_points_csv(path)
 
     def test_text_that_is_not_utf8_names_the_file(self, tmp_path):
         path = tmp_path / "u.csv"
         path.write_bytes(b"1,2\n\xff\xfe,3\n")
         with pytest.raises(ValueError, match=r"u\.csv: 'utf-8' codec can't decode byte 0xff"):
-            read_points_csv(path, Orientation.MINIMIZE)
+            read_points_csv(path)
 
 
 class TestPipelineInvariant:

@@ -736,7 +736,7 @@ def test_pareto_stdout_is_pinned(tmp_path, name, orient):
 @pytest.mark.parametrize("name", sorted(HV_EXACT_HEX))
 def test_hv_exact_is_bit_identical(name):
     rows, ref, want = HV_EXACT_HEX[name]
-    points = PointSet.from_rows(rows, Orientation.MINIMIZE)
+    points = PointSet(rows, Orientation.MINIMIZE)
     got = hypervolume_exact(points, (ref,) * len(rows[0]))
     assert float.hex(got) == want
 

@@ -357,6 +357,10 @@ class TestTrainConfig:
         {"eval_list": 5},
         {"dataset": 5},
         {"output_dir": None},
+        # an empty path would be the working directory
+        {"dataset": ""},
+        {"output_dir": ""},
+        {"eval_list": ["a.pgm", ""]},
         # JSON true/false are not integers
         {"batch_size": True},
         {"seed": False},
@@ -405,6 +409,10 @@ class TestPretrain:
         g, _ = _tiny_nets()
         with pytest.raises(ValueError, match="empty dataset"):
             pretrain_generator(g, [], _pretrain_config())
+
+    def test_pretrain_names_an_empty_dataset(self):
+        with pytest.raises(ValueError, match="pretrain: empty dataset"):
+            model.pretrain(_pretrain_config(), [])
 
 
 class TestDiscriminatorStep:
@@ -632,6 +640,11 @@ class TestAdversarialPhase:
     @classmethod
     def _run(cls, **kwargs):
         return list(cls._phase(**kwargs))
+
+    def test_empty_dataset_rejected(self):
+        g, d = _tiny_nets()
+        with pytest.raises(ValueError, match="adversarial_phase: empty dataset"):
+            next(adversarial_phase(g, d, [], _step_config()))
 
     @pytest.fixture
     def g_forwards(self, monkeypatch):

@@ -27,7 +27,7 @@ MAX = Orientation.MAXIMIZE
 
 
 def pset(rows, orientation=MIN):
-    return PointSet.from_rows(rows, orientation)
+    return PointSet(rows, orientation)
 
 
 def survivors(rows, orientation=MIN):
@@ -56,7 +56,7 @@ class TestDominates:
         assert survivors([(1, 2), (2, 3)], MIN) == [[1, 2]]
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="point 1 has length 3, expected 2"):
+        with pytest.raises(ValueError, match="PointSet: .*inhomogeneous"):
             pset([(1, 2), (1, 2, 3)])
         with pytest.raises(
             ValueError, match="reference point has length 3, point set has dimension 2"
@@ -112,7 +112,7 @@ class TestPointSet:
 
     def test_orientation_must_be_an_orientation(self):
         with pytest.raises(ValueError, match="Orientation"):
-            PointSet.from_rows([(1, 2)], "min")
+            PointSet([(1, 2)], "min")
 
     @pytest.mark.parametrize("call, message", [
         (lambda: PointSet(np.zeros((1, 2, 3)), MIN),
@@ -141,7 +141,7 @@ class TestParetoFilter:
         assert out.values.tolist() == [[1, 1], [1, 1]]
 
     def test_empty_set_passes_through(self):
-        assert len(pareto_filter(PointSet.from_rows([], MIN))) == 0
+        assert len(pareto_filter(PointSet([], MIN))) == 0
 
     def test_preserves_input_order(self):
         rows = [(3, 0), (0, 3), (1, 1), (2, 2)]
@@ -174,7 +174,7 @@ class TestParetoFilter:
             assert got_max.tolist() == (-got_min).tolist()
 
     def test_mixed_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="point 1 has length 3"):
+        with pytest.raises(ValueError, match="PointSet: .*inhomogeneous"):
             pset([(1, 2), (1, 2, 3)])
 
 
@@ -190,7 +190,7 @@ class TestHypervolumeExact:
         assert hypervolume_exact(pset([(1, 2), (2, 1)]), (3, 3)) == pytest.approx(3.0)
 
     def test_empty_set_is_zero(self):
-        assert hypervolume_exact(PointSet.from_rows([], MIN), (3, 3)) == 0.0
+        assert hypervolume_exact(PointSet([], MIN), (3, 3)) == 0.0
 
     def test_point_touching_reference_contributes_nothing(self):
         assert hypervolume_exact(pset([(1, 3)]), (3, 3)) == 0.0
@@ -335,7 +335,7 @@ class TestHypervolumeMC:
         assert stderr == 0.0
 
     def test_empty_set(self):
-        assert hypervolume_mc(PointSet.from_rows([], MIN), (1, 1), 100, seed=0) == (0.0, 0.0)
+        assert hypervolume_mc(PointSet([], MIN), (1, 1), 100, seed=0) == (0.0, 0.0)
 
     def test_two_point_front_within_four_stderr(self):
         est, stderr = hypervolume_mc(pset([(1, 2), (2, 1)]), (3, 3), 10**6, seed=5)

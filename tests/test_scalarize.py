@@ -74,7 +74,7 @@ class TestHvLogLoss:
             n = int(rng.integers(1, 5))
             l, mu = _random_unclamped(rng, n)
             hv = hypervolume_exact(
-                PointSet.from_rows([l], Orientation.MINIMIZE), mu
+                PointSet([l], Orientation.MINIMIZE), mu
             )
             assert math.exp(-scalarize(l, "hv_log", mu)) == pytest.approx(hv, rel=1e-12)
 

@@ -31,6 +31,7 @@ from .data_io import (
     SCALE,
     ImageBuffer,
     bicubic_downscale,
+    check_patch,
     load_image,
     parse_number,
     read_points_csv,
@@ -188,14 +189,8 @@ def _load_corpus(config: model.TrainConfig) -> list[ImageBuffer]:
     from . import model
 
     images = model.load_corpus(config.dataset)
-    ps = config.patch_size
-    if ps % SCALE:
-        raise ValueError(f"patch size must be divisible by {SCALE}, got {ps}")
     for img in images:
-        if ps > img.height or ps > img.width:
-            raise ValueError(
-                f"patch {ps}x{ps} larger than image {img.height}x{img.width}"
-            )
+        check_patch(img, config.patch_size)
     return images
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "save_image",
     "write_atomic",
     "bicubic_downscale",
+    "check_patch",
     "random_patch_pair",
     "augment_with_rng",
     "parse_number",
@@ -137,23 +138,16 @@ def load_image(path) -> ImageBuffer:
             f"{path}: truncated payload, expected {need} bytes, got {len(payload)}"
         )
     raw = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    if channels == 1:
-        data = raw.reshape(1, height, width)
-    else:
-        data = raw.reshape(height, width, 3).transpose(2, 0, 1)
-    return ImageBuffer(data)
+    return ImageBuffer(raw.reshape(height, width, channels).transpose(2, 0, 1))
 
 
 def save_image(img: ImageBuffer, path) -> None:
     """Atomically write P5/P6 with round-half-up 8-bit quantization."""
     q = np.floor(img.data * 255.0 + 0.5)
     q = np.clip(q, 0, 255).astype(np.uint8)
-    if img.channels == 1:
-        magic, payload = b"P5", q[0].tobytes()
-    else:
-        magic, payload = b"P6", q.transpose(1, 2, 0).tobytes()
+    magic = b"P5" if img.channels == 1 else b"P6"
     header = magic + f"\n{img.width} {img.height}\n255\n".encode("ascii")
-    write_atomic(path, [header + payload])
+    write_atomic(path, [header + q.transpose(1, 2, 0).tobytes()])
 
 
 def write_atomic(path, chunks) -> None:
@@ -227,6 +221,18 @@ def bicubic_downscale(img: ImageBuffer) -> ImageBuffer:
 # patches and augmentation
 # ---------------------------------------------------------------------------
 
+def check_patch(img: ImageBuffer, patch_size: int) -> None:
+    """Raise ``ValueError`` unless ``SCALE`` divides ``patch_size`` and a
+    square patch of that size fits in ``img``."""
+    ps = patch_size
+    if ps % SCALE:
+        raise ValueError(f"patch size must be divisible by {SCALE}, got {ps}")
+    if ps > img.height or ps > img.width:
+        raise ValueError(
+            f"patch {ps}x{ps} larger than image {img.height}x{img.width}"
+        )
+
+
 def random_patch_pair(
     img: ImageBuffer, patch_size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -234,12 +240,7 @@ def random_patch_pair(
     bicubic x4 downscale, as ``(lr, hr)`` (C,H,W) arrays (rng-stream
     driven)."""
     ps = int(patch_size)
-    if ps % SCALE:
-        raise ValueError(f"patch size must be divisible by {SCALE}, got {ps}")
-    if ps > img.height or ps > img.width:
-        raise ValueError(
-            f"patch {ps}x{ps} larger than image {img.height}x{img.width}"
-        )
+    check_patch(img, ps)
     top = int(rng.integers(0, img.height - ps + 1))
     left = int(rng.integers(0, img.width - ps + 1))
     hr = img.data[:, top : top + ps, left : left + ps]

@@ -1,7 +1,9 @@
 """Command-line surface: MOO utilities, training, evaluation, comparison.
 
 Exit codes: 0 success, 1 validation or precondition failure or a request for
-more memory than the machine has, 2 I/O failure, 141 (128 + SIGPIPE, the
+more memory than the machine has, 2 I/O failure or a usage error (argparse
+prints a usage line and an error line for a missing subcommand, a missing
+flag, or a malformed flag value such as ``--mc abc``), 141 (128 + SIGPIPE, the
 status a shell gives a writer that the pipe signal ended) when the reader of
 stdout closed it early, as in ``hvgan pareto front.csv | head -1``; that case
 prints nothing on stderr. 130 (128 + SIGINT) when the command was interrupted,

@@ -6,15 +6,19 @@ package), and ``write_atomic``, which streams every artifact file through
 Images live as planar (C,H,W) float64 buffers with values in [0,1]. On disk
 the package speaks binary PGM (P5, single channel) and PPM (P6, three
 channel) with maxval 255: both are fully specified byte formats, so
-round-trip behaviour is testable to the bit.
+round-trip behaviour is testable to the bit. Both go through one path:
+``load_image`` reads a raster as interleaved (H,W,C) samples and
+``save_image`` writes them, so the channel count picks only the magic.
+Header comments run from ``#`` to the next line end, as pgm(5) has it.
 
 Every ``ImageBuffer`` is checked on construction (shape, finiteness, range)
 and keeps a read-only copy of its pixels; ``load_image``,
 ``bicubic_downscale``, ``model.apply_generator`` and ``synth`` all build
-one. Training patches are plain (C,H,W) arrays:
-``random_patch_pair`` crops a view of an image's read-only pixels and
-downscales it by ``SCALE``, and ``augment_with_rng`` flips and turns both as
-views. The bicubic weight matrix of each input extent is built once and cached.
+one. Training patches are plain (C,H,W) arrays: ``check_patch`` states the
+patch rule, ``random_patch_pair`` crops a view of an image's read-only
+pixels and downscales it by ``SCALE``, and ``augment_with_rng`` flips and
+turns both as views. The bicubic weight matrix of each input extent is
+built once and cached.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,24 +96,26 @@ class ImageBuffer:
 # PGM / PPM
 # ---------------------------------------------------------------------------
 
+# one run of whitespace, one comment (from "#" to the next line end, as
+# pgm(5) defines it, so a comment also ends the field before it) or one field
+_HEADER_ITEM = re.compile(rb"\s+|#[^\r\n]*|(?P<field>[^\s#]+)")
+
+
 def _read_header_tokens(blob: bytes, count: int) -> tuple[list[bytes], int]:
-    """Read `count` whitespace-separated tokens, skipping # comment lines."""
+    """Read ``count`` header fields and the offset of the raster, which
+    starts after the one whitespace byte that follows the last field, or
+    after the line end of a comment that follows it directly."""
     tokens = []
     i = 0
     while len(tokens) < count:
-        while i < len(blob) and blob[i : i + 1].isspace():
-            i += 1
-        if i < len(blob) and blob[i : i + 1] == b"#":
-            while i < len(blob) and blob[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < len(blob) and not blob[i : i + 1].isspace():
-            i += 1
-        if i == start:
+        item = _HEADER_ITEM.match(blob, i)
+        if item is None:
             raise ValueError("truncated header")
-        tokens.append(blob[start:i])
-    # exactly one whitespace byte separates the header from the payload
+        if item["field"]:
+            tokens.append(item["field"])
+        i = item.end()
+    if blob[i : i + 1] == b"#":
+        i = _HEADER_ITEM.match(blob, i).end()
     return tokens, i + 1
 
 
@@ -291,7 +298,8 @@ def read_points_csv(path) -> np.ndarray:
         raise ValueError(f"{path}: {e}") from None
     rows = []
     width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # read_text turned \r\n and \r into \n, and only \n ends a line
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         fields = line.split(",")

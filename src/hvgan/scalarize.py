@@ -48,7 +48,8 @@ def _validate(l: Sequence[float], mu: Sequence[float], eps: float) -> tuple:
     lv, mv = _checked(l, mu, "bounds")
     if not np.all(np.isfinite(mv)) or np.any(mv <= 0.0):
         raise ValueError(f"upper bounds must be finite and > 0, got {mv.tolist()}")
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0.0):
+    real = isinstance(eps, (int, float)) and not isinstance(eps, bool)
+    if not (real and math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be a finite positive real, got {eps!r}")
     if not math.isfinite(1.0 / float(eps)):
         raise ValueError(f"eps must have a finite 1/eps, got {eps!r}")

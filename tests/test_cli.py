@@ -283,6 +283,15 @@ class TestPareto:
         assert proc.returncode == 1
         assert "line 2" in proc.stderr
 
+    @pytest.mark.parametrize("args", [[], ["--ref", "5,5"]], ids=["pareto", "hv"])
+    def test_a_form_feed_does_not_end_a_line(self, tmp_path, args):
+        pts = tmp_path / "f.csv"
+        pts.write_bytes(b"1,4\f3,2\n")
+        proc = run_cli("hv" if args else "pareto", str(pts), *args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "line 1: non-numeric field '4\\x0c3'" in proc.stderr
+
     @pytest.mark.parametrize("command, args", [
         ("pareto", []),
         ("hv", ["--ref", "3,3,3", "--mc", "2000", "--seed", "5"]),
@@ -1104,3 +1113,14 @@ class TestMisc:
 
     def test_no_subcommand_is_usage_error(self):
         assert run_cli().returncode == 2
+
+    def test_malformed_flag_value_is_usage_error(self, tmp_path):
+        pts = tmp_path / "p.csv"
+        pts.write_text("1,2\n2,1\n")
+        proc = run_cli("hv", str(pts), "--ref", "3", "--mc", "abc")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: hvgan hv ")
+        assert proc.stderr.splitlines()[-1] == (
+            "hvgan hv: error: argument --mc: invalid int value: 'abc'"
+        )

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,21 @@ class TestPgmPpm:
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n# made by hand\n1 1\n255\n\x80")
         assert load_image(path).data[0, 0, 0] == pytest.approx(128 / 255)
+
+    @pytest.mark.parametrize("header", [
+        b"P5\n2 2#c\n255\n",
+        b"P5\n# c\r2 2\n255\n",
+        b"P5\n2 2\n255#c\n",
+    ], ids=["comment_ends_a_field", "comment_ends_at_cr", "comment_after_maxval"])
+    def test_comments_as_pgm5_defines_them(self, tmp_path, header):
+        # a comment runs from "#" to the next line end; after maxval, that
+        # line end is the one byte before the raster
+        pixels = bytes([0, 255, 10, 35])
+        plain = tmp_path / "plain.pgm"
+        plain.write_bytes(b"P5\n2 2\n255\n" + pixels)
+        path = tmp_path / "c.pgm"
+        path.write_bytes(header + pixels)
+        assert np.array_equal(load_image(path).data, load_image(plain).data)
 
     def test_round_trip_quantization_bound(self, tmp_path):
         img = _random_image(1, c=3, h=5, w=7)
@@ -406,6 +423,14 @@ class TestPointsCsv:
         path = tmp_path / "n.csv"
         path.write_text(f"1,2\n{tok},1\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"line 2: non-numeric field '{tok.strip()}'"):
+            read_points_csv(path)
+
+    @pytest.mark.parametrize("sep", ["\f", "\v", "\x1c", "\x85", "\u2028"])
+    def test_only_a_newline_ends_a_line(self, tmp_path, sep):
+        path = tmp_path / "s.csv"
+        path.write_text(f"1,4{sep}3,2\n", encoding="utf-8")
+        message = f"line 1: non-numeric field {f'4{sep}3'!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             read_points_csv(path)
 
     def test_surrounding_spaces_are_accepted(self, tmp_path):

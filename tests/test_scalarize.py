@@ -56,6 +56,9 @@ class TestHvLogLoss:
         # 1/eps, the clamp weight, overflows to inf
         with pytest.raises(ValueError, match="eps"):
             gradient_weights([0.0], [1.0], eps=1e-320)
+        # a bool is not a real number, as TrainConfig has it
+        with pytest.raises(ValueError, match="eps must be a finite positive real, got True"):
+            gradient_weights([1, 1, 1], [2, 2, 2], True)
 
     def test_strictly_increasing_in_each_component(self):
         rng = np.random.default_rng(41)

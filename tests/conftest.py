@@ -47,8 +47,9 @@ def _avx512_features() -> str:
 def pytest_report_header(config):
     """numpy, its BLAS kernel and its AVX-512 features: the golden byte pins
     hold for one kernel, so a pin that fails on another CPU explains itself.
-    numpy is imported here before hvgan, as the first test module imports
-    them, so the suite's BLAS thread count stays what it was."""
+    numpy is imported here without hvgan, as ``test_acceptance.py``, the
+    first module collected, imports it, so the suite's BLAS thread count
+    stays what it was."""
     def probe(read):
         try:
             return read()

@@ -283,11 +283,12 @@ class TestPareto:
         assert proc.returncode == 1
         assert "line 2" in proc.stderr
 
-    @pytest.mark.parametrize("args", [[], ["--ref", "5,5"]], ids=["pareto", "hv"])
-    def test_a_form_feed_does_not_end_a_line(self, tmp_path, args):
+    @pytest.mark.parametrize("command, args", [("pareto", []), ("hv", ["--ref", "5,5"])],
+                             ids=["pareto", "hv"])
+    def test_a_form_feed_does_not_end_a_line(self, tmp_path, command, args):
         pts = tmp_path / "f.csv"
         pts.write_bytes(b"1,4\f3,2\n")
-        proc = run_cli("hv" if args else "pareto", str(pts), *args)
+        proc = run_cli(command, str(pts), *args)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert "line 1: non-numeric field '4\\x0c3'" in proc.stderr

@@ -92,21 +92,24 @@ def _read_config(path) -> tuple[model.TrainConfig, str]:
     return model.TrainConfig.from_dict(raw), raw_text
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, rows) -> list:
     """Atomically write ``header``, then one line per row, each line flushed
-    as ``rows`` yields its row. Integers (Python or numpy) and strings print
-    through ``str``, every other value as ``repr(float(v))``, the shortest
-    text that reads back to the same double."""
+    as ``rows`` yields its row, and return the rows written. Integers (Python
+    or numpy) and strings print through ``str``, every other value as
+    ``repr(float(v))``, the shortest text that reads back to the same double."""
+    written = []
 
     def lines():
         yield header
         for row in rows:
+            written.append(row)
             yield ",".join(
                 str(v) if isinstance(v, (int, np.integer, str)) else repr(float(v))
                 for v in row
             )
 
     write_atomic(path, (f"{line}\n".encode("utf-8") for line in lines()))
+    return written
 
 
 def _write_manifest(
@@ -212,6 +215,16 @@ def _output_dir(out: Path):
         raise
 
 
+def _write_history(out_dir: Path, rows) -> list:
+    """Stream ``rows`` (``model.HistoryRow``s) into ``out_dir/history.csv``
+    and return them; a failure removes ``out_dir`` if this call made it."""
+    from . import model
+
+    with _output_dir(out_dir):
+        header = ",".join(model.HistoryRow._fields)
+        return _write_csv(out_dir / "history.csv", header, rows)
+
+
 def cmd_train(args) -> int:
     from . import model
 
@@ -227,8 +240,7 @@ def cmd_train(args) -> int:
 
         history_path = out / "history.csv"
         checkpoint_path = out / "checkpoint.hvgn"
-        history = model.adversarial_phase(g, d, images, config)
-        _write_csv(history_path, ",".join(model.HistoryRow._fields), history)
+        _write_history(out, model.adversarial_phase(g, d, images, config))
         model.save_checkpoint(checkpoint_path, g.params() + d.params())
         outputs = [str(pretrain_path), str(history_path), str(checkpoint_path)]
         _write_manifest(out, config, raw_text, started, {"outputs": outputs})
@@ -302,33 +314,27 @@ def cmd_compare(args) -> int:
 
         outputs = [str(shared_ckpt), str(out / "pretrain.csv")]
         rows = []
-        for mode_name in COMPARE_MODES:
-            if mode_name == "hv_log_norm":
-                # hv_log_norm differs from hv_log, the mode before it, by the
-                # constant sum_k log(mu_k), so both take the gradient weights
-                # 1/max(mu_k - l_k, eps) and train the same trajectory: reuse
-                # hv_log's rows and metrics, with the scalar recomputed by the
-                # call model.train_step_generator makes in this mode
-                mu, eps = config.resolved_mu, config.eps
-                history = [
-                    r._replace(scalar=scalarize(
-                        np.array([r.l_gan, r.l_pix, r.l_fea]), mode_name, mu, eps
-                    ))
-                    for r in history
-                ]
-            else:
-                # every trained mode starts from the pretrained weights
-                model.set_state(params, pretrained)
-                history = list(model.adversarial_phase(
-                    g, d, images, dataclasses.replace(config, mode=mode_name)
-                ))
-                metrics = _evaluate_generator(g, eval_pairs)
-            history_path = out / mode_name / "history.csv"
-            history_path.parent.mkdir(exist_ok=True)
-            _write_csv(history_path, ",".join(model.HistoryRow._fields), history)
-            outputs.append(str(history_path))
+        for mode_name in ("linear", "hv_log"):
+            # every trained mode starts from the pretrained weights
+            model.set_state(params, pretrained)
+            history = _write_history(out / mode_name, model.adversarial_phase(
+                g, d, images, dataclasses.replace(config, mode=mode_name)
+            ))
             clamp_events = sum(r.clamped for r in history)
-            rows.append((mode_name, *metrics, clamp_events))
+            rows.append((mode_name, *_evaluate_generator(g, eval_pairs), clamp_events))
+        # hv_log_norm differs from hv_log by the constant sum_k log(mu_k), so
+        # both take the gradient weights 1/max(mu_k - l_k, eps) and train the
+        # same trajectory: reuse hv_log's rows and results, with the scalar
+        # recomputed by the call model.train_step_generator makes in this mode
+        mu, eps = config.resolved_mu, config.eps
+        _write_history(out / "hv_log_norm", (
+            r._replace(scalar=scalarize(
+                np.array([r.l_gan, r.l_pix, r.l_fea]), "hv_log_norm", mu, eps
+            ))
+            for r in history
+        ))
+        outputs += [str(out / m / "history.csv") for m in COMPARE_MODES]
+        rows.append(("hv_log_norm", *rows[-1][1:]))
 
         results_path = out / "results.csv"
         _write_csv(results_path, RESULTS_HEADER, rows)

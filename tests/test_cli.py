@@ -385,11 +385,17 @@ def _train_config(tmp_path, sub="run", **over):
 _OOM = "Unable to allocate 2.98 TiB for an array"
 
 
+def _eval_image(tmp_path):
+    """``tmp_path/eval.pgm``, a flat 16x16 image that ``compare`` evaluates."""
+    eval_img = tmp_path / "eval.pgm"
+    save_image(ImageBuffer(np.full((1, 16, 16), 0.5)), eval_img)
+    return eval_img
+
+
 def _failing_config(tmp_path, monkeypatch, phase, error=MemoryError(_OOM), **over):
     """A train/compare config whose ``model.<phase>`` raises ``error``, by
     default an allocation failure."""
-    eval_img = tmp_path / "eval.pgm"
-    save_image(ImageBuffer(np.full((1, 16, 16), 0.5)), eval_img)
+    eval_img = _eval_image(tmp_path)
 
     def fail(*args):
         raise error
@@ -489,33 +495,45 @@ class TestTrain:
         assert all(math.isfinite(float(line.split(",")[1])) for line in lines[1:])
         assert sorted(p.name for p in out.iterdir()) == ["pretrain.csv"]
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
     def test_history_rows_reach_the_disk_as_each_iteration_ends(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, command
     ):
-        cfg_path, _ = _train_config(tmp_path, "stream", adversarial_iters=3)
-        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        cfg_path, _ = _train_config(
+            tmp_path, "stream", adversarial_iters=3,
+            eval_list=[str(_eval_image(tmp_path))],
+        )
+        assert cli.main([command, "--config", str(cfg_path)]) == 0
         out = tmp_path / "stream"
-        old = (out / "history.csv").read_bytes()
-        old_lines = old.decode().splitlines()
-        tmp = out / "history.csv.tmp"
+        # train runs its default mode, hv_log, into out; compare runs linear,
+        # then hv_log, each into out/<mode>
+        modes = ["hv_log"] if command == "train" else ["linear", "hv_log"]
+        dirs = {m: out if command == "train" else out / m for m in modes}
+        old = {m: (dirs[m] / "history.csv").read_bytes() for m in modes}
         real_phase = model.adversarial_phase
+        seen = []
 
-        def phase(*args):
-            for k, row in enumerate(real_phase(*args), start=1):
-                if k == 3:
+        def phase(g, d, images, config):
+            tmp = dirs[config.mode] / "history.csv.tmp"
+            old_lines = old[config.mode].decode().splitlines()
+            for k, row in enumerate(real_phase(g, d, images, config), start=1):
+                if k == 3 and config.mode == "hv_log":
                     raise FloatingPointError("non-finite values produced by op 'conv2d'")
                 yield row
                 # resumed for row k + 1: row k is already in the file
                 assert tmp.read_text().splitlines() == old_lines[: 1 + k]
+                seen.append((config.mode, k))
 
         monkeypatch.setattr(model, "adversarial_phase", phase)
-        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        assert cli.main([command, "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == (
             "error: non-finite values produced by op 'conv2d'\n"
         )
-        assert not tmp.exists()
+        assert seen == [(m, k) for m in modes for k in (1, 2, 3)][:-1]
+        assert not list(out.rglob("*.tmp"))
         assert len((out / "pretrain.csv").read_text().splitlines()) == 1 + 2
-        assert (out / "history.csv").read_bytes() == old
+        for m in modes:
+            assert (dirs[m] / "history.csv").read_bytes() == old[m]
 
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_failed_run_removes_the_empty_output_dir_it_made(
@@ -567,6 +585,35 @@ class TestTrain:
         assert cli.main(["compare", "--config", str(cfg_path)]) == 1
         kept = sorted(p.name for p in Path(cfg["output_dir"]).iterdir())
         assert kept == ["pretrain.csv", "pretrained.hvgn"]
+
+    @pytest.mark.parametrize("error, code, err", [
+        (FloatingPointError("non-finite values produced by op 'conv2d'"), 1,
+         "error: non-finite values produced by op 'conv2d'\n"),
+        (KeyboardInterrupt(), cli.EXIT_INTERRUPTED, "interrupted\n"),
+    ], ids=["floating_point_error", "keyboard_interrupt"])
+    def test_compare_stopped_in_hv_log_leaves_no_hv_log_dir(
+        self, tmp_path, monkeypatch, capsys, error, code, err
+    ):
+        cfg_path, cfg = _train_config(
+            tmp_path, "stop", adversarial_iters=3,
+            eval_list=[str(_eval_image(tmp_path))],
+        )
+        real_phase = model.adversarial_phase
+
+        def phase(g, d, images, config):
+            for k, row in enumerate(real_phase(g, d, images, config), start=1):
+                if k == 2 and config.mode == "hv_log":
+                    raise error
+                yield row
+
+        monkeypatch.setattr(model, "adversarial_phase", phase)
+        assert _interrupted_main(["compare", "--config", str(cfg_path)]) == code
+        assert capsys.readouterr().err == err
+        out = Path(cfg["output_dir"])
+        kept = sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
+        assert kept == [
+            "linear", "linear/history.csv", "pretrain.csv", "pretrained.hvgn",
+        ]
 
     def test_checkpoint_holds_the_trained_weights(self, tmp_path):
         cfg_path, _ = _train_config(tmp_path, "ck", adversarial_iters=3)
@@ -778,6 +825,26 @@ class TestCompare:
         for mode in ("linear", "hv_log", "hv_log_norm"):
             history = (out / mode / "history.csv").read_text().splitlines()
             assert len(history) == 3
+
+    def test_zero_iteration_run(self, tmp_path):
+        cfg_path = _compare_config(tmp_path, pretrain_iters=0, adversarial_iters=0)
+        assert cli.main(["compare", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        header = ",".join(model.HistoryRow._fields) + "\n"
+        for mode in ("linear", "hv_log", "hv_log_norm"):
+            assert (out / mode / "history.csv").read_text() == header
+        lines = (out / "results.csv").read_text().splitlines()
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [r[0] for r in rows] == ["linear", "hv_log", "hv_log_norm"]
+        assert [r[-1] for r in rows] == ["0", "0", "0"]
+        # no mode trained, so every row measures the pretrained generator
+        assert rows[0][1:] == rows[1][1:] == rows[2][1:]
+        manifest = json.loads((out / "manifest.json").read_text())
+        outs = [Path(p).relative_to(out).as_posix() for p in manifest["outputs"]]
+        assert outs == [
+            "pretrained.hvgn", "pretrain.csv", "linear/history.csv",
+            "hv_log/history.csv", "hv_log_norm/history.csv", "results.csv",
+        ]
 
     def test_missing_eval_list_rejected(self, tmp_path):
         cfg_path, _ = _train_config(tmp_path, "noev")

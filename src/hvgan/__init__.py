@@ -10,16 +10,46 @@ its module (``from hvgan.moo import pareto_filter``).
 """
 
 import os
+import sys
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS, opened by path (its symbols are not global),
+    or None where numpy is not loaded or bundles no OpenBLAS."""
+    numpy = sys.modules.get("numpy")
+    if numpy is None:
+        return None
+    import ctypes
+    from pathlib import Path
+
+    root = Path(numpy.__file__).parent
+    libs = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+    return ctypes.CDLL(str(libs[0])) if libs else None
+
 
 # BLAS runs on one thread unless the user sets these variables, or sets
 # OMP_NUM_THREADS, which OpenBLAS and MKL fall back to. The matrices here are
 # small, and OpenBLAS's default pool made an adversarial step about 10x slower
-# when other processes competed for the cores. The variables are read when
-# numpy loads BLAS, so this must run before numpy is imported.
-if "OMP_NUM_THREADS" not in os.environ:
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, "1")
-    del _var
+# when other processes competed for the cores. OpenBLAS reads the variables
+# only when numpy loads it, so where numpy came first and the user set
+# neither variable OpenBLAS reads, the count is set on numpy's OpenBLAS
+# itself; a numpy without the bundled library or its setter is left alone.
+def _blas_policy() -> None:
+    if "OMP_NUM_THREADS" in os.environ:
+        return
+    if "OPENBLAS_NUM_THREADS" not in os.environ:
+        setter = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            import ctypes
+
+            setter.argtypes = (ctypes.c_int,)
+            setter.restype = None
+            setter(1)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+
+
+_blas_policy()
 
 
 # Under glibc, buffers below 32 MiB come from the heap and up to 256 MiB of

@@ -10,30 +10,33 @@ before its VJP fires, so the gradients nothing holds are freed as soon as
 nothing later in the sweep needs them. Only leaves keep a ``.grad``, and a
 tape is swept once.
 
-A node holds no values: a gradient slot, its parents' nodes and its VJP,
-which closes over only the arrays it reads (the rule of PyTorch's saved
-tensors). A leaf (a :class:`Parameter`, or any tensor no op produced) is its
-own node; an op result keeps its node apart from its values, so an
-activation dies with the caller's last reference, before ``backward``,
-unless a VJP reads it. What each VJP keeps:
+A node holds no values: a gradient slot, its parents' nodes and its VJP.
+One rule holds for every op, and ``_record`` is its only home: a VJP
+computes only the gradients that are kept, and keeps only the arrays they
+read (the rule of PyTorch's saved tensors). Each op hands ``_record`` one
+gradient function per parent, a map from the output's cotangent to that
+parent's gradient; ``_record`` keeps the functions of parents that require a
+gradient, drops the rest with whatever they close over, and builds the op's
+one VJP from what it kept. A leaf (a :class:`Parameter`, or any tensor no op
+produced) is its own node; an op result keeps its node apart from its
+values, so an activation dies with the caller's last reference, before
+``backward``, unless a kept gradient function reads it. What each op's
+gradient functions read:
 
-- ``conv2d``: the input's values only when the weight needs a gradient, the
-  weight's only when the input does
+- ``conv2d``: the weights for the input's gradient, the input for the
+  weight's
 - ``mul`` and ``matmul``: for each side, only the other operand's values
-- ``leaky_relu``: its uint8 sign mask; ``clip``: its bool mask
+- ``leaky_relu``: its uint8 sign mask; ``clip``: its bool mask, each built
+  only when the input's gradient is kept
 - ``sigmoid``: its output; ``log``, ``absolute`` and ``square``: their input
 - ``add``, ``sub``, ``bias_add``, ``reduce_sum``, ``reduce_mean``,
   ``mean_spatial`` and ``upsample_nearest``: only shapes
 
 An input that needs no gradient (a constant, a frozen weight) gets no node:
-VJPs keep nothing of it, and it appears among a node's parents as one shared
-placeholder.
-
-One rule holds for every op: a VJP computes only the gradients that are
-kept. A binary op computes a parent's gradient only when that parent
-required one when the op was recorded, and a unary op is recorded only when
-its parent does, so constant inputs and frozen weights cost no backward
-work.
+its gradient function is dropped, so it costs no backward work and the tape
+keeps nothing of it, and among a node's parents it appears as one shared
+placeholder. A unary op is recorded only when its parent requires a
+gradient.
 
 There is one primitive per operation: ``add``, ``sub``, ``mul``, ``matmul``,
 ``conv2d``, ``bias_add``, ``leaky_relu``, ``sigmoid``, ``log``, ``absolute``,
@@ -243,9 +246,9 @@ def _as_tensor(x) -> Tensor:
 
 
 def _grad_node(t: Tensor) -> _Node | None:
-    """The node a VJP pushes ``t``'s gradient into: None when no tape is
-    recording on this thread or ``t`` requires no gradient, so a VJP keeps
-    nothing of a constant."""
+    """The node ``t``'s gradient is pushed into: None when no tape is
+    recording on this thread or ``t`` requires no gradient, so ``_record``
+    drops ``t``'s gradient function and keeps nothing of a constant."""
     if not _STACK.tapes:
         return None
     if t._node is not None:
@@ -253,16 +256,27 @@ def _grad_node(t: Tensor) -> _Node | None:
     return t if t.requires_grad else None
 
 
-def _record(opname: str, data: np.ndarray, nodes: tuple, vjp: Callable) -> Tensor:
-    """The op result ``data``; recorded, with a node of its own, when any of
-    the parents' grad nodes ``nodes`` (from ``_grad_node``) is not None."""
+def _record(opname: str, data: np.ndarray, *parents: tuple) -> Tensor:
+    """The op result ``data``; recorded, with a node of its own, when any
+    parent's grad node is not None.
+
+    Each parent is a pair ``(node, grad)``: its grad node from
+    ``_grad_node``, and its gradient function, a map from the output's
+    cotangent to that parent's gradient. Only the pairs whose node is not
+    None are kept, and the op's one VJP pushes each kept function's gradient
+    into its node, in parent order; a dropped function is freed here, with
+    every array it closes over."""
     if not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values produced by op '{opname}'")
     out = Tensor(data)
-    if any(n is not None for n in nodes):
-        node = _Node(tuple(_CONSTANT if n is None else n for n in nodes), vjp)
-        out._node = node
-        _STACK.tapes[-1]._nodes.append(node)
+    kept = tuple((node, grad) for node, grad in parents if node is not None)
+    if kept:
+        def vjp(g):
+            for node, grad in kept:
+                _accumulate(node, grad(g))
+
+        out._node = _Node(tuple(_CONSTANT if n is None else n for n, _ in parents), vjp)
+        _STACK.tapes[-1]._nodes.append(out._node)
     return out
 
 
@@ -287,49 +301,30 @@ def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> None:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "add")
-    an, bn = _grad_node(a), _grad_node(b)
     a0, b0 = a.data.shape == (), b.data.shape == ()
-
-    def vjp(g):
-        if an is not None:
-            _accumulate(an, _scalar_side_grad(a0, g))
-        if bn is not None:
-            _accumulate(bn, _scalar_side_grad(b0, g))
-
-    return _record("add", a.data + b.data, (an, bn), vjp)
+    return _record("add", a.data + b.data,
+                   (_grad_node(a), lambda g: _scalar_side_grad(a0, g)),
+                   (_grad_node(b), lambda g: _scalar_side_grad(b0, g)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "sub")
-    an, bn = _grad_node(a), _grad_node(b)
     a0, b0 = a.data.shape == (), b.data.shape == ()
-
-    def vjp(g):
-        if an is not None:
-            _accumulate(an, _scalar_side_grad(a0, g))
-        if bn is not None:
-            _accumulate(bn, _scalar_side_grad(b0, -g))
-
-    return _record("sub", a.data - b.data, (an, bn), vjp)
+    return _record("sub", a.data - b.data,
+                   (_grad_node(a), lambda g: _scalar_side_grad(a0, g)),
+                   (_grad_node(b), lambda g: _scalar_side_grad(b0, -g)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a, b, "mul")
-    an, bn = _grad_node(a), _grad_node(b)
     a0, b0 = a.data.shape == (), b.data.shape == ()
-    # each side keeps only the values the other side's gradient reads
-    a_vals = a.data if bn is not None else None
-    b_vals = b.data if an is not None else None
-
-    def vjp(g):
-        if an is not None:
-            _accumulate(an, _scalar_side_grad(a0, g * b_vals))
-        if bn is not None:
-            _accumulate(bn, _scalar_side_grad(b0, g * a_vals))
-
-    return _record("mul", a.data * b.data, (an, bn), vjp)
+    av, bv = a.data, b.data
+    # each side's gradient reads only the other side's values
+    return _record("mul", av * bv,
+                   (_grad_node(a), lambda g: _scalar_side_grad(a0, g * bv)),
+                   (_grad_node(b), lambda g: _scalar_side_grad(b0, g * av)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +337,10 @@ def matmul(a, b) -> Tensor:
         raise ValueError(
             f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape}"
         )
-    an, bn = _grad_node(a), _grad_node(b)
-    a_vals = a.data if bn is not None else None
-    b_vals = b.data if an is not None else None
-
-    def vjp(g):
-        if an is not None:
-            _accumulate(an, g @ b_vals.T)
-        if bn is not None:
-            _accumulate(bn, a_vals.T @ g)
-
-    return _record("matmul", a.data @ b.data, (an, bn), vjp)
+    av, bv = a.data, b.data
+    return _record("matmul", av @ bv,
+                   (_grad_node(a), lambda g: g @ bv.T),
+                   (_grad_node(b), lambda g: av.T @ g))
 
 
 def conv2d(x, w) -> Tensor:
@@ -365,19 +353,11 @@ def conv2d(x, w) -> Tensor:
     kh, kw = w.data.shape[2], w.data.shape[3]
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d: kernel extents must be odd, got ({kh}, {kw})")
-    xn, wn = _grad_node(x), _grad_node(w)
-    # the input's values only for a weight gradient, the weights only for an
-    # input gradient
-    x_vals = x.data if wn is not None else None
-    w_vals = w.data if xn is not None else None
-
-    def vjp(g):
-        if xn is not None:
-            _accumulate(xn, kernels.conv2d_grad_input(g, w_vals))
-        if wn is not None:
-            _accumulate(wn, kernels.conv2d_grad_weight(x_vals, g, kh, kw))
-
-    return _record("conv2d", kernels.conv2d_forward(x.data, w.data), (xn, wn), vjp)
+    xv, wv = x.data, w.data
+    # the input's gradient reads only the weights, the weight's only the input
+    return _record("conv2d", kernels.conv2d_forward(xv, wv),
+                   (_grad_node(x), lambda g: kernels.conv2d_grad_input(g, wv)),
+                   (_grad_node(w), lambda g: kernels.conv2d_grad_weight(xv, g, kh, kw)))
 
 
 def bias_add(x, b) -> Tensor:
@@ -387,15 +367,9 @@ def bias_add(x, b) -> Tensor:
         raise ValueError(
             f"bias_add: need (N,C,H,W) and (C,), got {x.data.shape} and {b.data.shape}"
         )
-    xn, bn = _grad_node(x), _grad_node(b)
-
-    def vjp(g):
-        if xn is not None:
-            _accumulate(xn, g)
-        if bn is not None:
-            _accumulate(bn, g.sum(axis=(0, 2, 3)))
-
-    return _record("bias_add", x.data + b.data[None, :, None, None], (xn, bn), vjp)
+    return _record("bias_add", x.data + b.data[None, :, None, None],
+                   (_grad_node(x), lambda g: g),
+                   (_grad_node(b), lambda g: g.sum(axis=(0, 2, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +381,12 @@ def leaky_relu(x) -> Tensor:
     x = _as_tensor(x)
     xn = _grad_node(x)
     # _SLOPES.take(pos) is each element's slope, gathered only when needed, so
-    # the VJP keeps one byte per element
+    # the gradient function keeps one byte per element
     pos = (x.data > 0.0).view(np.uint8) if xn is not None else None
-
-    def vjp(g):
-        _accumulate(xn, g * _SLOPES.take(pos))
-
     # the larger of x and 0.2 * x is x * _SLOPES.take(pos), bit for bit
     # (zeros keep their sign), without a data-dependent branch
-    return _record("leaky_relu", np.maximum(x.data, x.data * _LEAKY_SLOPE), (xn,), vjp)
+    return _record("leaky_relu", np.maximum(x.data, x.data * _LEAKY_SLOPE),
+                   (xn, lambda g: g * _SLOPES.take(pos)))
 
 
 def sigmoid(x) -> Tensor:
@@ -426,44 +397,27 @@ def sigmoid(x) -> Tensor:
     e = np.exp(-np.abs(d))
     s = 1.0 + e
     y = np.where(d >= 0.0, 1.0 / s, e / s)
-    xn = _grad_node(x)
-
-    def vjp(g):
-        _accumulate(xn, g * y * (1.0 - y))
-
-    return _record("sigmoid", y, (xn,), vjp)
+    return _record("sigmoid", y, (_grad_node(x), lambda g: g * y * (1.0 - y)))
 
 
 def log(x) -> Tensor:
     x = _as_tensor(x)
     if np.any(x.data <= 0.0):
         raise FloatingPointError("log: inputs must be strictly positive")
-    xn, d = _grad_node(x), x.data
-
-    def vjp(g):
-        _accumulate(xn, g / d)
-
-    return _record("log", np.log(d), (xn,), vjp)
+    d = x.data
+    return _record("log", np.log(d), (_grad_node(x), lambda g: g / d))
 
 
 def absolute(x) -> Tensor:
     x = _as_tensor(x)
-    xn, d = _grad_node(x), x.data
-
-    def vjp(g):
-        _accumulate(xn, g * np.sign(d))
-
-    return _record("absolute", np.abs(d), (xn,), vjp)
+    d = x.data
+    return _record("absolute", np.abs(d), (_grad_node(x), lambda g: g * np.sign(d)))
 
 
 def square(x) -> Tensor:
     x = _as_tensor(x)
-    xn, d = _grad_node(x), x.data
-
-    def vjp(g):
-        _accumulate(xn, g * (2.0 * d))
-
-    return _record("square", d * d, (xn,), vjp)
+    d = x.data
+    return _record("square", d * d, (_grad_node(x), lambda g: g * (2.0 * d)))
 
 
 def clip(x, lo: float, hi: float) -> Tensor:
@@ -474,11 +428,7 @@ def clip(x, lo: float, hi: float) -> Tensor:
         raise ValueError(f"clip: need lo < hi, got ({lo}, {hi})")
     xn = _grad_node(x)
     mask = (x.data >= lo) & (x.data <= hi) if xn is not None else None
-
-    def vjp(g):
-        _accumulate(xn, g * mask)
-
-    return _record("clip", np.clip(x.data, lo, hi), (xn,), vjp)
+    return _record("clip", np.clip(x.data, lo, hi), (xn, lambda g: g * mask))
 
 
 # ---------------------------------------------------------------------------
@@ -487,22 +437,16 @@ def clip(x, lo: float, hi: float) -> Tensor:
 
 def reduce_sum(x) -> Tensor:
     x = _as_tensor(x)
-    xn, shape = _grad_node(x), x.data.shape
-
-    def vjp(g):
-        _accumulate(xn, np.broadcast_to(g, shape))
-
-    return _record("reduce_sum", np.asarray(x.data.sum()), (xn,), vjp)
+    shape = x.data.shape
+    return _record("reduce_sum", np.asarray(x.data.sum()),
+                   (_grad_node(x), lambda g: np.broadcast_to(g, shape)))
 
 
 def reduce_mean(x) -> Tensor:
     x = _as_tensor(x)
-    xn, shape, n = _grad_node(x), x.data.shape, x.data.size
-
-    def vjp(g):
-        _accumulate(xn, np.broadcast_to(g / n, shape))
-
-    return _record("reduce_mean", np.asarray(x.data.mean()), (xn,), vjp)
+    shape, n = x.data.shape, x.data.size
+    return _record("reduce_mean", np.asarray(x.data.mean()),
+                   (_grad_node(x), lambda g: np.broadcast_to(g / n, shape)))
 
 
 def mean_spatial(x) -> Tensor:
@@ -510,13 +454,11 @@ def mean_spatial(x) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ValueError(f"mean_spatial: need (N,C,H,W), got {x.data.shape}")
-    xn, shape = _grad_node(x), x.data.shape
+    shape = x.data.shape
     hw = shape[2] * shape[3]
-
-    def vjp(g):
-        _accumulate(xn, np.broadcast_to(g[:, :, None, None] / hw, shape))
-
-    return _record("mean_spatial", x.data.mean(axis=(2, 3)), (xn,), vjp)
+    return _record("mean_spatial", x.data.mean(axis=(2, 3)),
+                   (_grad_node(x),
+                    lambda g: np.broadcast_to(g[:, :, None, None] / hw, shape)))
 
 
 def upsample_nearest(x) -> Tensor:
@@ -529,22 +471,19 @@ def upsample_nearest(x) -> Tensor:
     for i in (0, 1):
         for j in (0, 1):
             y[:, :, i::2, j::2] = x.data
-    xn = _grad_node(x)
 
-    def vjp(g):
+    def grad_x(g):
         # Each input pixel gets the sum of its 2x2 output taps, in the order
         # of numpy's g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)): from +0.0,
         # add each tap row's pair, then the rows in order. At w == 1 numpy
         # runs all four taps of a pixel as one sum, so that case keeps the
         # reduction (on an array with one input column).
         if w == 1:
-            gx = g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
-        else:
-            gx = ((0.0 + (g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2]))
-                  + (g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]))
-        _accumulate(xn, gx)
+            return g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
+        return ((0.0 + (g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2]))
+                + (g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]))
 
-    return _record("upsample_nearest", y, (xn,), vjp)
+    return _record("upsample_nearest", y, (_grad_node(x), grad_x))
 
 
 # ---------------------------------------------------------------------------

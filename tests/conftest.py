@@ -2,7 +2,8 @@
 
 The checkout's ``src`` goes first on ``sys.path`` for this process and on
 ``PYTHONPATH`` for the ``python -m hvgan`` subprocesses some tests start.
-The session header names numpy's version, BLAS kernel and AVX-512 features.
+The session header names numpy's version, BLAS kernel, BLAS thread count
+and AVX-512 features.
 """
 
 import os
@@ -21,16 +22,24 @@ def _openblas_core() -> str:
     """The kernel numpy's bundled OpenBLAS picked for this CPU."""
     import ctypes
 
-    import numpy as np
+    import hvgan
 
-    root = Path(np.__file__).parent
-    libs = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
-    if not libs:
-        return "unknown"
-    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename = hvgan._openblas().scipy_openblas_get_corename64_
     corename.argtypes = ()
     corename.restype = ctypes.c_char_p
     return corename().decode()
+
+
+def _openblas_threads() -> int:
+    """The thread count read back from numpy's bundled OpenBLAS."""
+    import ctypes
+
+    import hvgan
+
+    threads = hvgan._openblas().scipy_openblas_get_num_threads64_
+    threads.argtypes = ()
+    threads.restype = ctypes.c_int
+    return threads()
 
 
 def _avx512_features() -> str:
@@ -45,11 +54,12 @@ def _avx512_features() -> str:
 
 
 def pytest_report_header(config):
-    """numpy, its BLAS kernel and its AVX-512 features: the golden byte pins
-    hold for one kernel, so a pin that fails on another CPU explains itself.
-    numpy is imported here without hvgan, as ``test_acceptance.py``, the
-    first module collected, imports it, so the suite's BLAS thread count
-    stays what it was."""
+    """numpy, its BLAS kernel, its BLAS thread count and its AVX-512
+    features: the golden byte pins hold for one kernel, so a pin that fails
+    on another CPU explains itself. numpy is imported here before hvgan, as
+    ``test_acceptance.py``, the first module collected, imports them; hvgan
+    then sets the bundled OpenBLAS to one thread, so the in-process tests
+    run on the thread count the header reads back."""
     def probe(read):
         try:
             return read()
@@ -59,4 +69,5 @@ def pytest_report_header(config):
     import numpy as np
 
     return (f"numpy {np.__version__}, OpenBLAS core {probe(_openblas_core)}, "
+            f"{probe(_openblas_threads)} BLAS thread(s), "
             f"AVX-512: {probe(_avx512_features)}")

@@ -1,4 +1,5 @@
 import threading
+import types
 import weakref
 
 import numpy as np
@@ -273,13 +274,24 @@ class TestTheTapeKeepsOnlyWhatBackwardReads:
 
     @staticmethod
     def _held_bytes(tape) -> int:
-        """nbytes of the distinct arrays the tape's VJP closures hold."""
+        """nbytes of the distinct arrays the tape's VJPs hold, following each
+        closure into the tuples and functions it holds: a VJP keeps its
+        parents' gradient functions, which close over the arrays. Nodes are
+        not followed, since a leaf's values are not the tape's to keep."""
         held = {}
+
+        def walk(value):
+            if isinstance(value, np.ndarray):
+                held[id(value)] = value.nbytes
+            elif isinstance(value, tuple):
+                for item in value:
+                    walk(item)
+            elif isinstance(value, types.FunctionType):
+                for cell in value.__closure__ or ():
+                    walk(cell.cell_contents)
+
         for node in tape._nodes:
-            for cell in node._vjp.__closure__:
-                value = cell.cell_contents
-                if isinstance(value, np.ndarray):
-                    held[id(value)] = value.nbytes
+            walk(node._vjp)
         return sum(held.values())
 
     def _conv_w(self, o, i):

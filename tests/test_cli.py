@@ -57,6 +57,31 @@ class TestBlasThreads:
         got = self._threads_after_import(OMP_NUM_THREADS="2")
         assert got == "[None, '2', None]"
 
+    def _threads_read_back(self, first, **overrides):
+        """The thread count numpy's bundled OpenBLAS reports after ``first``
+        and then the other of numpy and hvgan are imported."""
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env.update(overrides)
+        second = "hvgan" if first == "numpy" else "numpy"
+        code = (f"import {first}, {second}\n"
+                "lib = hvgan._openblas()\n"
+                "print(lib.scipy_openblas_get_num_threads64_() if lib else 'none')\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        if proc.stdout.strip() == "none":
+            pytest.skip("numpy bundles no OpenBLAS")
+        return int(proc.stdout)
+
+    @pytest.mark.parametrize("first", ["numpy", "hvgan"])
+    def test_library_runs_one_thread_whatever_is_imported_first(self, first):
+        assert self._threads_read_back(first) == 1
+
+    @pytest.mark.parametrize("var", ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"])
+    def test_library_keeps_the_user_setting_when_numpy_is_first(self, var):
+        # OpenBLAS caps its pool at the CPU count
+        assert self._threads_read_back("numpy", **{var: "2"}) == min(2, os.cpu_count())
+
 
 def _libc_is_glibc():
     try:

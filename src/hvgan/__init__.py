@@ -15,7 +15,9 @@ import sys
 
 def _openblas():
     """numpy's bundled OpenBLAS, opened by path (its symbols are not global),
-    or None where numpy is not loaded or bundles no OpenBLAS."""
+    or None where numpy is not loaded or bundles no OpenBLAS. The symbols
+    hvgan calls come with their signatures declared; one the library lacks
+    is skipped."""
     numpy = sys.modules.get("numpy")
     if numpy is None:
         return None
@@ -24,7 +26,18 @@ def _openblas():
 
     root = Path(numpy.__file__).parent
     libs = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
-    return ctypes.CDLL(str(libs[0])) if libs else None
+    if not libs:
+        return None
+    lib = ctypes.CDLL(str(libs[0]))
+    for name, argtypes, restype in (
+        ("scipy_openblas_set_num_threads64_", (ctypes.c_int,), None),
+        ("scipy_openblas_get_num_threads64_", (), ctypes.c_int),
+        ("scipy_openblas_get_corename64_", (), ctypes.c_char_p),
+    ):
+        fn = getattr(lib, name, None)
+        if fn is not None:  # CDLL caches the function, so later reads get these
+            fn.argtypes, fn.restype = argtypes, restype
+    return lib
 
 
 # BLAS runs on one thread unless the user sets these variables, or sets
@@ -40,16 +53,20 @@ def _blas_policy() -> None:
     if "OPENBLAS_NUM_THREADS" not in os.environ:
         setter = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
         if setter is not None:
-            import ctypes
-
-            setter.argtypes = (ctypes.c_int,)
-            setter.restype = None
             setter(1)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
 
 
 _blas_policy()
+
+
+def _glibc() -> str:
+    """The glibc version, such as "glibc 2.36", or "" under another C library."""
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return ""
 
 
 # Under glibc, buffers below 32 MiB come from the heap and up to 256 MiB of
@@ -60,10 +77,7 @@ _blas_policy()
 # running process, so this works whatever the import order. Other C
 # libraries are left alone.
 def _heap_policy() -> None:
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
-    except (AttributeError, ValueError, OSError):
+    if not _glibc():
         return
     import ctypes
 
@@ -78,6 +92,31 @@ def _heap_policy() -> None:
 
 
 _heap_policy()
+
+
+def _environment() -> dict:
+    """What numpy computes on, read back from the libraries: numpy's version,
+    the kernel and thread count of its bundled OpenBLAS, and the AVX-512
+    features numpy's runtime dispatch enabled. A field that cannot be read,
+    such as the kernel of a numpy without the bundled OpenBLAS, is "unknown"."""
+    import numpy
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    lib = _openblas()
+    core = getattr(lib, "scipy_openblas_get_corename64_", None)
+    threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    avx512 = [name for name, on in __cpu_features__.items()
+              if on and name.startswith("AVX512")]
+    return {
+        "numpy": numpy.__version__,
+        "blas_core": core().decode() if core else "unknown",
+        "blas_threads": threads() if threads else "unknown",
+        "avx512": " ".join(avx512) or "none",
+    }
+
 
 __version__ = "0.1.0"
 

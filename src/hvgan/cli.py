@@ -67,7 +67,10 @@ def _fmt12(v: float) -> str:
 
 
 def _fmt_point(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
+    """The shortest text that reads back as ``v``, without a trailing ".0":
+    3, 1.5, -0, 1e+16."""
+    text = repr(float(v))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def _utc_now() -> str:

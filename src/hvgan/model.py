@@ -121,9 +121,16 @@ HistoryRow = namedtuple("HistoryRow", "iter l_gan l_pix l_fea scalar w_gan w_pix
 # networks
 # ---------------------------------------------------------------------------
 
-def _conv_init(rng: np.random.Generator, c_out: int, c_in: int) -> np.ndarray:
-    fan_in = c_in * 3 * 3
-    return rng.standard_normal((c_out, c_in, 3, 3)) / np.sqrt(fan_in)
+def _conv_layers(rng: np.random.Generator, prefix: str, shapes: list) -> list:
+    """One (weight, bias) pair per ``(c_out, c_in)`` of ``shapes``, named
+    ``<prefix>.conv<i>.w`` and ``.b``: 3x3 weights unit-normal scaled by
+    1/sqrt(fan-in), drawn from ``rng`` in order, and zero biases."""
+    return [
+        (ad.Parameter(rng.standard_normal((co, ci, 3, 3)) / np.sqrt(ci * 3 * 3),
+                      name=f"{prefix}.conv{i}.w"),
+         ad.Parameter(np.zeros(co), name=f"{prefix}.conv{i}.b"))
+        for i, (co, ci) in enumerate(shapes, start=1)
+    ]
 
 
 class GeneratorNet:
@@ -133,17 +140,9 @@ class GeneratorNet:
     def __init__(self, channels: int, width: int, rng: np.random.Generator):
         if width < 1:
             raise ValueError(f"generator width must be >= 1, got {width}")
-        shapes = [
-            (width, channels),
-            (width, width),
-            (width, width),
-            (channels, width),
-        ]
-        self._layers = []
-        for i, (co, ci) in enumerate(shapes, start=1):
-            w = ad.Parameter(_conv_init(rng, co, ci), name=f"g.conv{i}.w")
-            b = ad.Parameter(np.zeros(co), name=f"g.conv{i}.b")
-            self._layers.append((w, b))
+        self._layers = _conv_layers(
+            rng, "g", [(width, channels), (width, width), (width, width), (channels, width)]
+        )
 
     def params(self) -> list[ad.Parameter]:
         return [p for layer in self._layers for p in layer]
@@ -165,21 +164,19 @@ class DiscriminatorNet:
     def __init__(self, channels: int, width: int, rng: np.random.Generator):
         if width < 1:
             raise ValueError(f"discriminator width must be >= 1, got {width}")
-        self.w1 = ad.Parameter(_conv_init(rng, width, channels), name="d.conv1.w")
-        self.b1 = ad.Parameter(np.zeros(width), name="d.conv1.b")
-        self.w2 = ad.Parameter(_conv_init(rng, 2 * width, width), name="d.conv2.w")
-        self.b2 = ad.Parameter(np.zeros(2 * width), name="d.conv2.b")
+        self._layers = _conv_layers(rng, "d", [(width, channels), (2 * width, width)])
         self.wd = ad.Parameter(
             rng.standard_normal((2 * width, 1)) / np.sqrt(2 * width), name="d.fc.w"
         )
         self.bd = ad.Parameter(np.zeros(()), name="d.fc.b")
 
     def params(self) -> list[ad.Parameter]:
-        return [self.w1, self.b1, self.w2, self.b2, self.wd, self.bd]
+        return [p for layer in self._layers for p in layer] + [self.wd, self.bd]
 
     def forward(self, x: ad.Tensor) -> ad.Tensor:
-        h = ad.leaky_relu(ad.bias_add(ad.conv2d(x, self.w1), self.b1))
-        h = ad.leaky_relu(ad.bias_add(ad.conv2d(h, self.w2), self.b2))
+        h = x
+        for w, b in self._layers:
+            h = ad.leaky_relu(ad.bias_add(ad.conv2d(h, w), b))
         h = ad.mean_spatial(h)
         return ad.add(ad.matmul(h, self.wd), self.bd)
 
@@ -341,6 +338,11 @@ def _is_real(v) -> bool:
     )
 
 
+def _is_path(v) -> bool:
+    """A str or path-like that is not empty: Path("") is the working directory."""
+    return isinstance(v, (str, os.PathLike)) and v != ""
+
+
 def _reals(key: str, value) -> tuple:
     """A list or tuple of finite numbers as floats; a ValueError naming
     ``key`` for anything else."""
@@ -374,25 +376,17 @@ class TrainConfig:
     disc_width: int = 8
 
     def __post_init__(self):
-        if self.mode not in MODE_KINDS:
-            raise ValueError(f"mode must be one of {MODE_KINDS}, got {self.mode!r}")
-        if self.adversarial not in ADVERSARIAL_KINDS:
-            raise ValueError(
-                f"adversarial must be one of {ADVERSARIAL_KINDS}, got "
-                f"{self.adversarial!r}"
-            )
-        if not (_is_int(self.norm_p) and self.norm_p in (1, 2)):
-            raise ValueError(f"norm_p must be 1 or 2, got {self.norm_p!r}")
-        if self.feature_tap not in ("pre", "post"):
-            raise ValueError(f"feature_tap must be 'pre' or 'post', got {self.feature_tap!r}")
-        for key in ("pretrain_iters", "adversarial_iters"):
-            if not (_is_int(getattr(self, key)) and getattr(self, key) >= 0):
-                raise ValueError(f"{key} must be an integer >= 0, got {getattr(self, key)!r}")
-        for key in ("batch_size", "patch_size", "gen_width", "disc_width"):
-            if not (_is_int(getattr(self, key)) and getattr(self, key) >= 1):
-                raise ValueError(f"{key} must be an integer >= 1, got {getattr(self, key)!r}")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for key, kinds in (("mode", MODE_KINDS), ("adversarial", ADVERSARIAL_KINDS),
+                           ("norm_p", (1, 2)), ("feature_tap", ("pre", "post"))):
+            value = getattr(self, key)
+            # of the kinds' own type too: True and 1.0 both equal 1
+            if value not in kinds or type(value) is not type(kinds[0]):
+                raise ValueError(f"{key} must be one of {kinds}, got {value!r}")
+        for key, floor in (("pretrain_iters", 0), ("adversarial_iters", 0), ("batch_size", 1),
+                           ("patch_size", 1), ("gen_width", 1), ("disc_width", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if not (_is_int(value) and value >= floor):
+                raise ValueError(f"{key} must be an integer >= {floor}, got {value!r}")
         for key in ("lr", "eps"):
             v = getattr(self, key)
             if not (_is_real(v) and v > 0):
@@ -423,14 +417,10 @@ class TrainConfig:
                 f"{self.baseline_weights!r}"
             )
         object.__setattr__(self, "baseline_weights", bw)
-        # an empty path would be Path(""), the working directory
-        for key, value in (("dataset", self.dataset), ("output_dir", self.output_dir)):
-            if not isinstance(value, (str, os.PathLike)) or value == "":
-                raise ValueError(f"{key} must be a path, got {value!r}")
-        if not (
-            isinstance(self.eval_list, (list, tuple))
-            and all(isinstance(p, (str, os.PathLike)) and p != "" for p in self.eval_list)
-        ):
+        for key in ("dataset", "output_dir"):
+            if not _is_path(getattr(self, key)):
+                raise ValueError(f"{key} must be a path, got {getattr(self, key)!r}")
+        if not (isinstance(self.eval_list, (list, tuple)) and all(map(_is_path, self.eval_list))):
             raise ValueError(f"eval_list must be a list of paths, got {self.eval_list!r}")
         object.__setattr__(self, "eval_list", tuple(str(p) for p in self.eval_list))
 

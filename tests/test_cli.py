@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -57,40 +59,46 @@ class TestBlasThreads:
         got = self._threads_after_import(OMP_NUM_THREADS="2")
         assert got == "[None, '2', None]"
 
-    def _threads_read_back(self, first, **overrides):
-        """The thread count numpy's bundled OpenBLAS reports after ``first``
-        and then the other of numpy and hvgan are imported."""
+    def _read_back(self, field, first="numpy", **overrides):
+        """``hvgan._environment()[field]`` after ``first`` and then the other
+        of numpy and hvgan are imported."""
         env = {k: v for k, v in os.environ.items() if k not in self.VARS}
         env.update(overrides)
         second = "hvgan" if first == "numpy" else "numpy"
-        code = (f"import {first}, {second}\n"
-                "lib = hvgan._openblas()\n"
-                "print(lib.scipy_openblas_get_num_threads64_() if lib else 'none')\n")
+        code = f"import {first}, {second}\nprint(hvgan._environment()[{field!r}])\n"
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        if proc.stdout.strip() == "none":
+        if proc.stdout.strip() == "unknown":
             pytest.skip("numpy bundles no OpenBLAS")
-        return int(proc.stdout)
+        return proc.stdout.strip()
 
     @pytest.mark.parametrize("first", ["numpy", "hvgan"])
     def test_library_runs_one_thread_whatever_is_imported_first(self, first):
-        assert self._threads_read_back(first) == 1
+        assert self._read_back("blas_threads", first) == "1"
 
     @pytest.mark.parametrize("var", ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"])
     def test_library_keeps_the_user_setting_when_numpy_is_first(self, var):
         # OpenBLAS caps its pool at the CPU count
-        assert self._threads_read_back("numpy", **{var: "2"}) == min(2, os.cpu_count())
+        assert self._read_back("blas_threads", **{var: "2"}) == str(min(2, os.cpu_count()))
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                        reason="Haswell is an x86-64 kernel")
+    def test_library_reports_a_forced_kernel(self):
+        assert self._read_back("blas_core", OPENBLAS_CORETYPE="Haswell") == "Haswell"
+
+    @pytest.mark.parametrize("found", ["no library", "a library without the symbols"])
+    def test_what_the_library_does_not_give_is_unknown(self, monkeypatch, found):
+        if found == "no library":
+            monkeypatch.setattr(hvgan, "_openblas", lambda: None)
+        else:
+            monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
+        env = hvgan._environment()
+        assert env["blas_core"] == env["blas_threads"] == "unknown"
+        assert env["numpy"] == np.__version__
 
 
-def _libc_is_glibc():
-    try:
-        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
-    except (AttributeError, ValueError, OSError):
-        return False
-
-
-@pytest.mark.skipif(not _libc_is_glibc(), reason="the heap policy is for glibc")
+@pytest.mark.skipif(not hvgan._glibc(), reason="the heap policy is for glibc")
 class TestHeapPolicy:
     VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
     # minor faults over 50 allocations of an 8 MB array, after one warm-up
@@ -301,6 +309,20 @@ class TestPareto:
         proc = run_cli("pareto", str(pts))
         assert proc.stdout == "1.5,2\n"
 
+    @pytest.mark.parametrize("value, text", [
+        ("1e15", "1000000000000000"), ("1e16", "1e+16"), ("1e300", "1e+300"),
+        ("-0", "-0"), ("-2.5e-300", "-2.5e-300"),
+    ])
+    def test_a_value_prints_as_the_shortest_text_that_reads_back(
+        self, tmp_path, capsys, value, text
+    ):
+        pts = tmp_path / "v.csv"
+        pts.write_text(f"{value}\n")
+        assert cli.main(["pareto", str(pts)]) == 0
+        out = capsys.readouterr().out
+        assert out == f"{text}\n"
+        assert float(out).hex() == float(value).hex()  # -0 keeps its sign
+
     def test_ragged_input_fails_with_line_number(self, tmp_path):
         pts = tmp_path / "r.csv"
         pts.write_text("1,2\n3\n")
@@ -392,6 +414,65 @@ class TestEval:
         assert len(lines) == 1 and lines[0].startswith("error: psnr: peak")
 
 
+class TestOutputsDoNotDependOnTheBlasKernel:
+    """``hv``, ``pareto`` and ``eval`` print the same bytes under another
+    OpenBLAS kernel, as README's "Reproducibility across machines" says."""
+
+    @pytest.fixture(scope="class")
+    def forced_env(self):
+        """The environment with ``OPENBLAS_CORETYPE`` forcing a kernel other
+        than the one in force here: Haswell, or Sandybridge where that is
+        Haswell. Skips where the library does not take it."""
+        forced = "Sandybridge" if hvgan._environment()["blas_core"] == "Haswell" else "Haswell"
+        env = {**os.environ, "OPENBLAS_CORETYPE": forced}
+        code = "import hvgan, numpy\nprint(hvgan._environment()['blas_core'])\n"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        if proc.stdout.strip() != forced:
+            pytest.skip(f"OpenBLAS does not run its {forced} kernel here")
+        return env
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("kernel")
+        rng = np.random.default_rng(140)
+        pts = rng.random((60, 4))
+        (tmp / "p.csv").write_text(
+            "".join(",".join(map(repr, row)) + "\n" for row in pts.tolist())
+        )
+        ref = rng.integers(0, 256, size=(32, 32))
+        noise = rng.integers(-20, 21, size=ref.shape)
+        _write_pgm(tmp / "ref.pgm", ref)
+        _write_pgm(tmp / "test.pgm", np.clip(ref + noise, 0, 255))
+        return tmp
+
+    @pytest.mark.parametrize("command", ["hv", "pareto", "eval"])
+    def test_stdout_keeps_its_bytes(self, forced_env, inputs, command):
+        pts, ref, test = (str(inputs / name) for name in ("p.csv", "ref.pgm", "test.pgm"))
+        args = {
+            "hv": ["hv", pts, "--ref", "1,1,1,1", "--mc", "20000", "--seed", "3"],
+            "pareto": ["pareto", pts],
+            "eval": ["eval", "--ref", ref, "--test", test],
+        }[command]
+        default, forced = (
+            subprocess.run([sys.executable, "-m", "hvgan", *args], env=env,
+                           capture_output=True, text=True)
+            for env in (os.environ, forced_env)
+        )
+        assert default.returncode == forced.returncode == 0, default.stderr + forced.stderr
+        assert default.stdout and forced.stdout == default.stdout
+
+
+def _assert_only_manifest_outputs(out):
+    """``out`` holds ``manifest.json`` and the files its ``outputs`` names,
+    and nothing else: no temporary file is left behind."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = {Path(p).relative_to(out).as_posix() for p in manifest["outputs"]}
+    found = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert not list(out.rglob("*.tmp"))
+    assert found == listed | {"manifest.json"}
+
+
 def _train_config(tmp_path, sub="run", **over):
     corpus = tmp_path / "corpus"
     if not corpus.exists():
@@ -462,6 +543,7 @@ class TestTrain:
         assert manifest["seed"] == 0
         outs = [p.split("/")[-1] for p in manifest["outputs"]]
         assert outs == ["pretrain.csv", "history.csv", "checkpoint.hvgn"]
+        _assert_only_manifest_outputs(tmp_path / "mani")
 
     def test_config_with_byte_order_mark_trains(self, tmp_path):
         cfg_path, _ = _train_config(tmp_path, "bom")
@@ -870,6 +952,7 @@ class TestCompare:
             "pretrained.hvgn", "pretrain.csv", "linear/history.csv",
             "hv_log/history.csv", "hv_log_norm/history.csv", "results.csv",
         ]
+        _assert_only_manifest_outputs(out)
 
     def test_missing_eval_list_rejected(self, tmp_path):
         cfg_path, _ = _train_config(tmp_path, "noev")
